@@ -77,13 +77,19 @@ impl ArbitrationPolicy for Lottery {
         if candidates.is_empty() {
             return None;
         }
-        let total: u64 = candidates
-            .iter()
-            .map(|c| self.tickets(c.core.index()) as u64)
-            .sum();
+        let weights = match &self.tickets {
+            // One ticket each: the draw is the winner's position.
+            None => {
+                let draw = rng.next_below(candidates.len() as u64);
+                return Some(candidates[draw as usize].core);
+            }
+            Some(weights) => weights,
+        };
+        let tickets = |c: &Candidate| weights.get(c.core.index()).map_or(1, |&t| u64::from(t));
+        let total: u64 = candidates.iter().map(tickets).sum();
         let mut draw = rng.next_below(total);
         for c in candidates {
-            let t = self.tickets(c.core.index()) as u64;
+            let t = tickets(c);
             if draw < t {
                 return Some(c.core);
             }
@@ -160,6 +166,49 @@ mod tests {
         let one = cands(&[2]);
         for t in 0..100 {
             assert_eq!(l.select(&one, t, &mut rng).unwrap().index(), 2);
+        }
+    }
+
+    /// The select this policy had before the ticket total was summed once:
+    /// `tickets()` twice per candidate.
+    fn reference_select(l: &Lottery, candidates: &[Candidate], rng: &mut SimRng) -> CoreId {
+        let total: u64 = candidates
+            .iter()
+            .map(|c| l.tickets(c.core.index()) as u64)
+            .sum();
+        let mut draw = rng.next_below(total);
+        for c in candidates {
+            let t = l.tickets(c.core.index()) as u64;
+            if draw < t {
+                return c.core;
+            }
+            draw -= t;
+        }
+        unreachable!()
+    }
+
+    #[test]
+    fn select_matches_reference_draw_for_draw() {
+        let mut subsets = SimRng::seed_from(5);
+        for mut l in [
+            Lottery::uniform(),
+            Lottery::with_tickets(vec![3, 1, 4, 1, 5, 9, 2, 6]).unwrap(),
+        ] {
+            let (mut rng, mut oracle) = (SimRng::seed_from(6), SimRng::seed_from(6));
+            for t in 0..2000 {
+                // Cores 8..12 fall outside the weighted ticket vector.
+                let cores: Vec<usize> = (0..12)
+                    .filter(|_| subsets.gen_range_u64(0..3) > 0)
+                    .collect();
+                if cores.is_empty() {
+                    continue;
+                }
+                let c = cands(&cores);
+                assert_eq!(
+                    l.select(&c, t, &mut rng).unwrap(),
+                    reference_select(&l, &c, &mut oracle)
+                );
+            }
         }
     }
 }

@@ -48,8 +48,8 @@ pub struct RandomPermutation {
     n_cores: usize,
     /// Current round's permutation (core indices).
     order: Vec<usize>,
-    /// Cores already granted in this round.
-    served: Vec<bool>,
+    /// Cores already granted in this round (bit `i` = core `i`).
+    served: u64,
     /// Whether a round is in progress.
     round_active: bool,
 }
@@ -59,13 +59,18 @@ impl RandomPermutation {
     ///
     /// # Panics
     ///
-    /// Panics if `n_cores == 0`.
+    /// Panics if `n_cores == 0` or `n_cores > CoreId::MAX_CORES`.
     pub fn new(n_cores: usize) -> Self {
         assert!(n_cores > 0, "n_cores must be positive");
+        assert!(
+            n_cores <= CoreId::MAX_CORES,
+            "n_cores must be at most {}",
+            CoreId::MAX_CORES
+        );
         RandomPermutation {
             n_cores,
             order: (0..n_cores).collect(),
-            served: vec![false; n_cores],
+            served: 0,
             round_active: false,
         }
     }
@@ -80,23 +85,32 @@ impl RandomPermutation {
             let j = rng.next_below(i as u64 + 1) as usize;
             self.order.swap(i, j);
         }
-        self.served.iter_mut().for_each(|s| *s = false);
+        self.served = 0;
         self.round_active = true;
     }
 
     /// The first not-yet-served core in permutation order that has a
     /// pending candidate.
     fn pick(&self, candidates: &[Candidate]) -> Option<CoreId> {
+        let open = candidates
+            .iter()
+            .fold(0u64, |mask, c| mask | (1 << c.core.index()))
+            & !self.served;
+        if open == 0 {
+            return None;
+        }
         self.order
             .iter()
-            .filter(|&&idx| !self.served[idx])
-            .find_map(|&idx| candidates.iter().find(|c| c.core.index() == idx))
-            .map(|c| c.core)
+            .find(|&&idx| (open >> idx) & 1 == 1)
+            .map(|&idx| CoreId::from_index(idx))
     }
 
-    /// Cores already served in the current round (for tests/inspection).
-    pub fn served(&self) -> &[bool] {
-        &self.served
+    /// Cores already served in the current round, indexed by core (for
+    /// tests/inspection).
+    pub fn served(&self) -> Vec<bool> {
+        (0..self.n_cores)
+            .map(|i| (self.served >> i) & 1 == 1)
+            .collect()
     }
 }
 
@@ -126,15 +140,17 @@ impl ArbitrationPolicy for RandomPermutation {
     }
 
     fn on_grant(&mut self, core: CoreId, _now: Cycle) {
-        self.served[core.index()] = true;
-        if self.served.iter().all(|&s| s) {
+        assert!(core.index() < self.n_cores, "grant to unknown {core:?}");
+        self.served |= 1 << core.index();
+        // The round is complete once every one of the `n_cores` bits is set.
+        if self.served == u64::MAX >> (64 - self.n_cores) {
             self.round_active = false;
         }
     }
 
     fn reset(&mut self) {
         self.round_active = false;
-        self.served.iter_mut().for_each(|s| *s = false);
+        self.served = 0;
     }
 }
 
@@ -258,5 +274,72 @@ mod tests {
         rp.on_grant(w, 0);
         rp.reset();
         assert!(rp.served().iter().all(|&s| !s));
+    }
+
+    /// The scan `pick` replaced: for each core in permutation order, search
+    /// the candidates for it.
+    fn scan_pick(order: &[usize], served: &[bool], candidates: &[Candidate]) -> Option<CoreId> {
+        order
+            .iter()
+            .filter(|&&idx| !served[idx])
+            .find_map(|&idx| candidates.iter().find(|c| c.core.index() == idx))
+            .map(|c| c.core)
+    }
+
+    #[test]
+    fn mask_pick_matches_scan_pick() {
+        let mut rng = SimRng::seed_from(41);
+        for n in [1usize, 2, 4, 16, 63, 64] {
+            let mut rp = RandomPermutation::new(n);
+            for trial in 0..2000 {
+                // Random permutation, served set and candidate subset; every
+                // 8th trial pins the highest core, the shift edge at n = 64.
+                for i in (1..n).rev() {
+                    let j = rng.gen_range_u64(0..i as u64 + 1) as usize;
+                    rp.order.swap(i, j);
+                }
+                let served: Vec<bool> = (0..n).map(|_| rng.gen_range_u64(0..2) == 1).collect();
+                rp.served = served
+                    .iter()
+                    .enumerate()
+                    .fold(0, |m, (i, &s)| m | (u64::from(s) << i));
+                let cores: Vec<usize> = if trial % 8 == 0 {
+                    vec![n - 1]
+                } else {
+                    (0..n).filter(|_| rng.gen_range_u64(0..2) == 1).collect()
+                };
+                let c = cands(&cores);
+                assert_eq!(
+                    rp.pick(&c),
+                    scan_pick(&rp.order, &served, &c),
+                    "n={n} order={:?} served={served:?} cores={cores:?}",
+                    rp.order
+                );
+                assert_eq!(rp.served(), served);
+            }
+        }
+    }
+
+    #[test]
+    fn core_63_is_picked_and_completes_a_64_core_round() {
+        let mut rp = RandomPermutation::new(64);
+        let mut rng = SimRng::seed_from(43);
+        let last = cands(&[63]);
+        let w = rp.select(&last, 0, &mut rng).unwrap();
+        assert_eq!(w.index(), 63);
+        rp.on_grant(w, 0);
+        assert!(rp.served()[63]);
+        // Core 63 is served: only a new round can grant it again, and only
+        // all 64 grants end a round.
+        let all = cands(&(0..64).collect::<Vec<_>>());
+        let mut seen = [false; 64];
+        seen[63] = true;
+        for t in 1..64 {
+            let w = rp.select(&all, t, &mut rng).unwrap();
+            assert!(!seen[w.index()], "core {} granted twice", w.index());
+            seen[w.index()] = true;
+            rp.on_grant(w, t);
+        }
+        assert!(!rp.round_active);
     }
 }

@@ -22,7 +22,7 @@ use sim_core::{CoreId, Cycle};
 ///
 /// On the FPGA prototype the arbiter consumes bits from the APRANDBANK
 /// hardware PRNG; in simulation either the faithful LFSR-bank model
-/// ([`sim_core::lfsr::LfsrBank`]) or a fast software stream
+/// ([`sim_core::lfsr::LfsrBank`]) or a software stream
 /// ([`sim_core::rng::SimRng`]) can be used — both implement this trait.
 pub trait RandomSource: std::fmt::Debug {
     /// Uniform draw in `0..n`.

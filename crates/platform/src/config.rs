@@ -95,7 +95,7 @@ pub struct PlatformConfig {
     /// Store-buffer depth per core.
     pub store_buffer: usize,
     /// Drive randomized arbitration from the hardware-faithful LFSR bank
-    /// (true) or the fast software RNG (false). Both are deterministic per
+    /// (true) or the software RNG (false). Both are deterministic per
     /// seed.
     pub lfsr_randbank: bool,
     /// Hierarchical-fabric topology; `None` = the flat single shared bus.

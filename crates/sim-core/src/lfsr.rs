@@ -11,6 +11,21 @@
 //!
 //! The arbiter consumes bits via [`LfsrBank::next_bits`]; a permutation draw
 //! for `N` cores consumes `N·log2(N)`-ish bits per arbitration round.
+//!
+//! # Bit-plane layout
+//!
+//! The hardware bank clocks all its LFSRs at once and delivers one bit per
+//! lane in a single cycle. [`LfsrBank`] is laid out the same way: it does
+//! not store one 32-bit state per lane, but 32 bit-planes of one `u64`
+//! each, where plane `k` holds state bit `k` of every lane (lane `i` in
+//! bit `i`). The output of a cycle, bit 0 of every lane's state, is plane 0
+//! as it stands. The Galois shift moves every plane down by one, so the
+//! planes sit in a ring and the shift is a move of its head. The feedback
+//! is one XOR of the output word per polynomial tap. The per-lane health
+//! counters are bit-sliced the same way. One cycle of all lanes therefore
+//! costs a handful of word operations, whatever the bank's width. The
+//! single-lane [`Lfsr`] produces the same bit stream one lane at a time and
+//! serves as the reference the bank is tested against.
 
 use crate::SimError;
 
@@ -82,8 +97,56 @@ pub enum LfsrHealth {
     },
 }
 
+/// Feedback taps of [`POLY_32_DEFAULT`] below bit 31, as state-bit
+/// positions. Bit 31 needs no XOR in the bit-sliced bank: after the shift,
+/// logical plane 31 is the ring slot that held the output plane, and a
+/// Galois step with bit 31 in the polynomial sets state bit 31 to exactly
+/// that output.
+const TAPS: [usize; 3] = [0, 1, 21];
+
+const _: () = {
+    let mut poly = 1u32 << 31;
+    let mut i = 0;
+    while i < TAPS.len() {
+        poly |= 1 << TAPS[i];
+        i += 1;
+    }
+    assert!(poly == POLY_32_DEFAULT, "TAPS must spell POLY_32_DEFAULT");
+};
+
+/// Planes of a bit-sliced health counter: enough for counts `0..=4096`.
+const COUNTER_PLANES: usize = (u32::BITS - LfsrBank::HEALTH_WINDOW.leading_zeros()) as usize;
+
+/// A bit-sliced per-lane counter: bit `lane` of plane `j` is bit `j` of
+/// that lane's count.
+type Counter = [u64; COUNTER_PLANES];
+
+/// Adds one bit per lane (`bits`) to `counter` by ripple carry through
+/// every plane. The loop has no early exit on a zero carry: on random bits
+/// that branch mispredicts, and costs more than the planes it would skip.
+#[inline]
+fn count_lanes(counter: &mut Counter, mut bits: u64) {
+    for plane in counter {
+        let carry = *plane & bits;
+        *plane ^= bits;
+        bits = carry;
+    }
+}
+
+/// The count of one lane, read out of a bit-sliced counter.
+fn lane_count(counter: &Counter, lane: usize) -> u32 {
+    counter
+        .iter()
+        .enumerate()
+        .map(|(j, plane)| (((plane >> lane) & 1) as u32) << j)
+        .sum()
+}
+
 /// A bank of independent Galois LFSRs delivering `width` random bits per
 /// cycle, with online health monitoring.
+///
+/// The bank is bit-sliced, like the hardware that steps all its LFSRs in
+/// one clock; the [module documentation](self) describes the layout.
 ///
 /// # Example
 ///
@@ -98,12 +161,14 @@ pub enum LfsrHealth {
 /// ```
 #[derive(Debug, Clone)]
 pub struct LfsrBank {
-    lanes: Vec<Lfsr>,
-    // Health monitoring state: per-lane ones count and window length.
-    window: u32,
-    ones: Vec<u32>,
-    transitions: Vec<u32>,
-    last_bit: Vec<bool>,
+    /// State bit-planes as a ring: plane `k` is `planes[(head + k) % 32]`.
+    planes: [u64; 32],
+    head: usize,
+    width: usize,
+    // Health monitoring state over the current window.
+    ones: Counter,
+    transitions: Counter,
+    last_bits: u64,
     observed: u32,
 }
 
@@ -125,53 +190,54 @@ impl LfsrBank {
                 why: format!("width must be in 1..=64, got {width}"),
             });
         }
-        let mut lanes = Vec::with_capacity(width);
+        let mut planes = [0u64; 32];
         let mut s = seed;
-        for _ in 0..width {
+        for lane in 0..width {
             // Derive distinct non-zero 32-bit seeds via splitmix-style mixing.
             s = s
                 .wrapping_mul(0x2545_f491_4f6c_dd1d)
                 .wrapping_add(0x9e37_79b9_7f4a_7c15);
             let seed32 = ((s >> 32) as u32) | 1; // force non-zero
-            lanes.push(Lfsr::new(seed32, POLY_32_DEFAULT).expect("non-zero seed"));
+            for (k, plane) in planes.iter_mut().enumerate() {
+                *plane |= u64::from((seed32 >> k) & 1) << lane;
+            }
         }
         Ok(LfsrBank {
-            ones: vec![0; width],
-            transitions: vec![0; width],
-            last_bit: vec![false; width],
-            lanes,
-            window: Self::HEALTH_WINDOW,
+            planes,
+            head: 0,
+            width,
+            ones: [0; COUNTER_PLANES],
+            transitions: [0; COUNTER_PLANES],
+            last_bits: 0,
             observed: 0,
         })
     }
 
     /// Number of lanes (= bits delivered per cycle).
     pub fn width(&self) -> usize {
-        self.lanes.len()
+        self.width
     }
 
     /// Advances every lane one cycle and returns the fresh bits packed into
     /// the low `width` bits of a `u64` (lane 0 is bit 0).
     pub fn next_bits(&mut self) -> u64 {
-        let mut word = 0u64;
-        let first = self.observed == 0;
-        for (i, lane) in self.lanes.iter_mut().enumerate() {
-            let bit = lane.step();
-            if bit {
-                word |= 1 << i;
-                self.ones[i] += 1;
-            }
-            if !first && bit != self.last_bit[i] {
-                self.transitions[i] += 1;
-            }
-            self.last_bit[i] = bit;
+        let word = self.planes[self.head];
+        self.head = (self.head + 1) % 32;
+        for k in TAPS {
+            self.planes[(self.head + k) % 32] ^= word;
         }
+        count_lanes(&mut self.ones, word);
+        // The first bit of a window has no predecessor in it.
+        if self.observed != 0 {
+            count_lanes(&mut self.transitions, word ^ self.last_bits);
+        }
+        self.last_bits = word;
         self.observed += 1;
-        if self.observed >= self.window {
+        if self.observed >= Self::HEALTH_WINDOW {
             // Monitors are evaluated lazily via `health`; reset the window.
             self.observed = 0;
-            self.ones.iter_mut().for_each(|c| *c = 0);
-            self.transitions.iter_mut().for_each(|c| *c = 0);
+            self.ones = [0; COUNTER_PLANES];
+            self.transitions = [0; COUNTER_PLANES];
         }
         word
     }
@@ -230,11 +296,11 @@ impl LfsrBank {
         if self.observed < 256 {
             return LfsrHealth::Ok;
         }
-        for lane in 0..self.lanes.len() {
-            if self.transitions[lane] == 0 {
+        for lane in 0..self.width {
+            if lane_count(&self.transitions, lane) == 0 {
                 return LfsrHealth::StuckAt { lane };
             }
-            let density = self.ones[lane] as f64 / self.observed as f64;
+            let density = lane_count(&self.ones, lane) as f64 / self.observed as f64;
             if !(0.40..=0.60).contains(&density) {
                 return LfsrHealth::Imbalanced { lane, density };
             }
@@ -348,5 +414,192 @@ mod tests {
         }
         let density = ones as f64 / n as f64;
         assert!((0.48..0.52).contains(&density), "density {density}");
+    }
+
+    /// The first 64 `next_bits` words of `LfsrBank::new(16, 2017)`, as the
+    /// per-lane bank produced them.
+    const STREAM_16_2017: [u64; 64] = [
+        0xffff, 0x8b9d, 0x5349, 0xd79f, 0xf5e9, 0x5b3a, 0xc3bd, 0x4540, 0xe003, 0x3692, 0x4830,
+        0x53a4, 0x677a, 0x50b9, 0x9c4a, 0x5c6b, 0x5fae, 0xfe64, 0xe810, 0x6bd6, 0xd6f0, 0x454b,
+        0x90eb, 0xb2a1, 0x1b9b, 0x9efe, 0x5bac, 0x977d, 0x3530, 0x2ab3, 0x9685, 0x137c, 0x3236,
+        0xf973, 0xff76, 0x8123, 0x17f6, 0x9184, 0x1a61, 0x30c1, 0x22b3, 0x4f36, 0xf345, 0xaa9c,
+        0xae48, 0xe6cc, 0xcf55, 0xeb0c, 0x205b, 0xa24e, 0x5f35, 0xbc1e, 0xa35e, 0x4977, 0x48f4,
+        0x4a51, 0xe648, 0xb3c4, 0x19d6, 0xaceb, 0x9a6c, 0x2cf5, 0x02af, 0x7210,
+    ];
+
+    #[test]
+    fn bank_stream_is_pinned() {
+        let mut bank = LfsrBank::new(16, 2017).unwrap();
+        let stream: Vec<u64> = (0..64).map(|_| bank.next_bits()).collect();
+        assert_eq!(stream, STREAM_16_2017);
+    }
+
+    /// The reference bank: one single-lane [`Lfsr`] per lane, seeded and
+    /// monitored lane by lane.
+    struct LaneOracle {
+        lanes: Vec<Lfsr>,
+        ones: Vec<u32>,
+        transitions: Vec<u32>,
+        last_bit: Vec<bool>,
+        observed: u32,
+    }
+
+    impl LaneOracle {
+        fn new(width: usize, seed: u64) -> Self {
+            let mut s = seed;
+            let lanes = (0..width)
+                .map(|_| {
+                    s = s
+                        .wrapping_mul(0x2545_f491_4f6c_dd1d)
+                        .wrapping_add(0x9e37_79b9_7f4a_7c15);
+                    Lfsr::new(((s >> 32) as u32) | 1, POLY_32_DEFAULT).unwrap()
+                })
+                .collect();
+            LaneOracle {
+                lanes,
+                ones: vec![0; width],
+                transitions: vec![0; width],
+                last_bit: vec![false; width],
+                observed: 0,
+            }
+        }
+
+        fn next_bits(&mut self) -> u64 {
+            let mut word = 0u64;
+            let first = self.observed == 0;
+            for (i, lane) in self.lanes.iter_mut().enumerate() {
+                let bit = lane.step();
+                word |= u64::from(bit) << i;
+                self.ones[i] += u32::from(bit);
+                if !first && bit != self.last_bit[i] {
+                    self.transitions[i] += 1;
+                }
+                self.last_bit[i] = bit;
+            }
+            self.observed += 1;
+            if self.observed >= LfsrBank::HEALTH_WINDOW {
+                self.observed = 0;
+                self.ones.iter_mut().for_each(|c| *c = 0);
+                self.transitions.iter_mut().for_each(|c| *c = 0);
+            }
+            word
+        }
+
+        fn next_word(&mut self, bits: u32) -> u64 {
+            let w = self.lanes.len() as u32;
+            let (mut acc, mut got) = (0u64, 0u32);
+            while got < bits {
+                let take = (bits - got).min(w);
+                acc |= (self.next_bits() & (u64::MAX >> (64 - take))) << got;
+                got += take;
+            }
+            acc
+        }
+
+        fn next_below(&mut self, n: u64) -> u64 {
+            if n == 1 {
+                return 0;
+            }
+            loop {
+                let draw = self.next_word(64 - (n - 1).leading_zeros());
+                if draw < n {
+                    return draw;
+                }
+            }
+        }
+
+        fn health(&self) -> LfsrHealth {
+            if self.observed < 256 {
+                return LfsrHealth::Ok;
+            }
+            for lane in 0..self.lanes.len() {
+                if self.transitions[lane] == 0 {
+                    return LfsrHealth::StuckAt { lane };
+                }
+                let density = self.ones[lane] as f64 / self.observed as f64;
+                if !(0.40..=0.60).contains(&density) {
+                    return LfsrHealth::Imbalanced { lane, density };
+                }
+            }
+            LfsrHealth::Ok
+        }
+    }
+
+    /// Asserts the bank's monitor state equals the oracle's, lane by lane.
+    fn assert_same_monitors(bank: &LfsrBank, oracle: &LaneOracle, at: &str) {
+        assert_eq!(bank.observed, oracle.observed, "{at}");
+        for lane in 0..oracle.lanes.len() {
+            assert_eq!(
+                lane_count(&bank.ones, lane),
+                oracle.ones[lane],
+                "{at}: ones of lane {lane}"
+            );
+            assert_eq!(
+                lane_count(&bank.transitions, lane),
+                oracle.transitions[lane],
+                "{at}: transitions of lane {lane}"
+            );
+        }
+        assert_eq!(bank.health(), oracle.health(), "{at}");
+    }
+
+    const ORACLE_WIDTHS: [usize; 6] = [1, 2, 5, 16, 63, 64];
+
+    #[test]
+    fn bank_matches_per_lane_oracle() {
+        for width in ORACLE_WIDTHS {
+            let seed = 0x5EED_0000 + width as u64;
+            let mut bank = LfsrBank::new(width, seed).unwrap();
+            let mut oracle = LaneOracle::new(width, seed);
+            assert_eq!(bank.width(), width);
+            // Three full health windows and then some, word by word; the
+            // monitors are compared around every window reset.
+            for step in 0..3 * LfsrBank::HEALTH_WINDOW + 300 {
+                let at = format!("width {width}, step {step}");
+                assert_eq!(bank.next_bits(), oracle.next_bits(), "{at}");
+                if matches!(oracle.observed, 0 | 1 | 2 | 255 | 256 | 4095) || step % 97 == 0 {
+                    assert_same_monitors(&bank, &oracle, &at);
+                }
+            }
+            // The gathering draws continue the same stream.
+            for round in 0..20 {
+                for bits in 1..=64 {
+                    let at = format!("width {width}, round {round}, next_word({bits})");
+                    assert_eq!(bank.next_word(bits), oracle.next_word(bits), "{at}");
+                }
+                for n in [1, 2, 3, 7, 16, 17, 1 << 40] {
+                    let at = format!("width {width}, round {round}, next_below({n})");
+                    assert_eq!(bank.next_below(n), oracle.next_below(n), "{at}");
+                }
+                assert_same_monitors(&bank, &oracle, &format!("width {width}, round {round}"));
+            }
+        }
+    }
+
+    #[test]
+    fn stuck_lane_verdicts_match_oracle() {
+        // Zero one lane's state in both banks: the all-zero state is the
+        // LFSR's fixed point, so that lane emits 0 forever.
+        for width in ORACLE_WIDTHS {
+            let lane = width / 2;
+            let mut bank = LfsrBank::new(width, 77).unwrap();
+            let mut oracle = LaneOracle::new(width, 77);
+            for plane in &mut bank.planes {
+                *plane &= !(1 << lane);
+            }
+            oracle.lanes[lane] = Lfsr {
+                state: 0,
+                poly: POLY_32_DEFAULT,
+            };
+            for step in 0..2 * LfsrBank::HEALTH_WINDOW + 300 {
+                assert_eq!(bank.next_bits(), oracle.next_bits());
+                let at = format!("width {width}, step {step}");
+                assert_eq!(bank.health(), oracle.health(), "{at}");
+                if oracle.observed >= 256 {
+                    assert_eq!(bank.health(), LfsrHealth::StuckAt { lane }, "{at}");
+                }
+            }
+            assert_same_monitors(&bank, &oracle, &format!("width {width}"));
+        }
     }
 }
