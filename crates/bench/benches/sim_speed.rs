@@ -1,15 +1,13 @@
 //! End-to-end simulator throughput on the shipped scenarios: the naive
-//! per-cycle loop, the event-horizon fast path, and the fluid
-//! continuous-event backend, in simulated **cycles per second**.
+//! per-cycle loop against the events engine (event-horizon skipping plus
+//! limit-cycle fast-forward), in simulated **cycles per second**.
 //!
 //! Every `scenarios/*.scn` expands to its full sweep grid; the same seeded
 //! runs execute under each engine listed in `CBA_ENGINES` (comma-separated,
-//! default `naive,events,fluid`). Listing an engine that does not exist is
+//! default `naive,events`). Listing an engine that does not exist is
 //! a hard error — the bench panics with the parser's message instead of
-//! emitting null columns for a backend nobody ran. Cross-checks ride
-//! along: naive and events results are asserted bit-identical, and the
-//! fluid rows record the worst per-core share deviation from events
-//! (`fluid_share_dev`, expected ~0 — the in-tree fluid executor is exact).
+//! emitting null columns for a backend nobody ran. A cross-check rides
+//! along: naive and events results are asserted bit-identical.
 //!
 //! A machine-readable summary is written to `BENCH_sim_speed.json` (via
 //! `sim_core::export`) so CI can record the perf trajectory. `CBA_RUNS`
@@ -17,10 +15,9 @@
 //! master seed.
 //!
 //! Expected shape: the events engine wins multi-× wherever the bus idles
-//! for long stretches; the fluid engine adds an order of magnitude or two
-//! on top wherever a run settles into a steady limit cycle it can
-//! fast-forward (`fairness_sweep`, `scaling_16core`), and roughly ties
-//! events where every cycle carries fresh randomness or cache-model state.
+//! for long stretches, and an order of magnitude or two wherever a run
+//! settles into a steady limit cycle it can fast-forward
+//! (`fairness_sweep`, `scaling_16core`).
 
 use cba_bench::{print_row, rule, runs_from_env, seed_from_env};
 use cba_platform::scenario::{parse_engine, ScenarioDef};
@@ -67,7 +64,7 @@ fn cases() -> Vec<Case> {
 /// stale `CBA_ENGINES` (or a removed backend) fails loudly instead of
 /// producing a JSON row full of nulls.
 fn engines_from_env() -> Vec<DriveMode> {
-    let raw = std::env::var("CBA_ENGINES").unwrap_or_else(|_| "naive,events,fluid".into());
+    let raw = std::env::var("CBA_ENGINES").unwrap_or_else(|_| "naive,events".into());
     let engines: Vec<DriveMode> = raw
         .split(',')
         .map(str::trim)
@@ -99,17 +96,6 @@ fn measure(case: &Case, runs: usize, seed: u64, mode: DriveMode) -> (u64, f64, V
     (cycles, start.elapsed().as_secs_f64(), results)
 }
 
-/// Worst per-core absolute share deviation between two engines' runs.
-fn max_share_dev(a: &[RunResult], b: &[RunResult]) -> f64 {
-    let mut dev = 0.0f64;
-    for (ra, rb) in a.iter().zip(b) {
-        for core in 0..ra.bus_busy.len() {
-            dev = dev.max((ra.absolute_cycle_share(core) - rb.absolute_cycle_share(core)).abs());
-        }
-    }
-    dev
-}
-
 fn main() {
     let runs = runs_from_env(20);
     let seed = seed_from_env();
@@ -119,24 +105,22 @@ fn main() {
         "sim_speed: {runs} runs per spec, seed {seed}, engines {}",
         labels.join(",")
     );
-    rule(98);
+    rule(74);
     print_row(&[
         ("scenario", 20),
         ("sim cycles", 12),
         ("naive cyc/s", 13),
         ("events cyc/s", 13),
-        ("fluid cyc/s", 13),
         ("ev/naive", 9),
-        ("fluid/ev", 9),
     ]);
-    rule(98);
+    rule(74);
 
     let mut rows = Vec::new();
     for case in cases() {
-        // (seconds, cycles/sec, results) per engine, in naive/events/fluid
+        // (seconds, cycles/sec, results) per engine, in naive/events
         // slots; engines not listed in CBA_ENGINES simply leave their slot
         // empty and their JSON keys absent (never null).
-        let mut slots: [Option<(f64, f64, Vec<RunResult>)>; 3] = [None, None, None];
+        let mut slots: [Option<(f64, f64, Vec<RunResult>)>; 2] = [None, None];
         let mut cycles = 0u64;
         for &engine in &engines {
             let (c, secs, results) = measure(&case, runs, seed, engine);
@@ -144,19 +128,18 @@ fn main() {
             let slot = match engine {
                 DriveMode::Naive => 0,
                 DriveMode::Events => 1,
-                DriveMode::Fluid => 2,
                 other => panic!("sim_speed has no column for engine '{other}'"),
             };
             slots[slot] = Some((secs, c as f64 / secs, results));
         }
-        let [naive, events, fluid] = &slots;
+        let [naive, events] = &slots;
 
         let mut fields: Vec<(String, Json)> = vec![
             ("name".into(), Json::str(&case.name)),
             ("specs".into(), Json::Num(case.specs.len() as f64)),
             ("simulated_cycles".into(), Json::Num(cycles as f64)),
         ];
-        for (label, slot) in [("naive", naive), ("events", events), ("fluid", fluid)] {
+        for (label, slot) in [("naive", naive), ("events", events)] {
             if let Some((secs, rate, _)) = slot {
                 fields.push((format!("{label}_seconds"), Json::Num(*secs)));
                 fields.push((format!("{label}_cycles_per_sec"), Json::Num(*rate)));
@@ -174,22 +157,6 @@ fn main() {
             }
             _ => None,
         };
-        let fluid_speedup = match (events, fluid) {
-            (Some((_, er, ev)), Some((_, fr, fl))) => {
-                let s = fr / er;
-                fields.push(("fluid_speedup_vs_events".into(), Json::Num(s)));
-                let dev = max_share_dev(ev, fl);
-                assert!(
-                    dev <= 0.02,
-                    "{}: fluid share deviation {dev:.4} above the 2% contract",
-                    case.name
-                );
-                fields.push(("fluid_share_dev".into(), Json::Num(dev)));
-                Some(s)
-            }
-            _ => None,
-        };
-
         let fmt_rate = |slot: &Option<(f64, f64, Vec<RunResult>)>| {
             slot.as_ref()
                 .map(|(_, r, _)| format!("{r:.3e}"))
@@ -200,21 +167,14 @@ fn main() {
             (&format!("{cycles}"), 12),
             (&fmt_rate(naive), 13),
             (&fmt_rate(events), 13),
-            (&fmt_rate(fluid), 13),
             (
                 &speedup.map(|s| format!("{s:.2}x")).unwrap_or("-".into()),
-                9,
-            ),
-            (
-                &fluid_speedup
-                    .map(|s| format!("{s:.1}x"))
-                    .unwrap_or("-".into()),
                 9,
             ),
         ]);
         rows.push(Json::obj(fields));
     }
-    rule(98);
+    rule(74);
 
     let doc = Json::obj([
         ("bench", Json::str("sim_speed")),

@@ -30,20 +30,20 @@ use std::path::Path;
 
 const USAGE: &str = "\
 usage: cba_sim --scenario-file FILE [--runs N] [--seed S] [--threads N]
-               [--engine events|naive|fluid] [--out FILE] [--format json|csv]
+               [--engine events|naive] [--out FILE] [--format json|csv]
                [--checkpoint DIR] [--resume]
        cba_sim [--policy fifo|rr|tdma|lot|rp|pri] [--cba none|homog|hcba|w:a,b,..]
                [--bench NAME | --loads SPEC] [--scenario iso|con] [--wcet]
-               [--runs N] [--seed S] [--cores N] [--engine events|naive|fluid]
+               [--runs N] [--seed S] [--cores N] [--engine events|naive]
                [--out FILE] [--format json|csv]
 
 --threads N   worker threads for the grid-wide run executor (0 = one per
               hardware thread); every (cell x run) task of a campaign is
               scheduled on one shared pool
---engine      cycle loop: 'events' (event-horizon fast path, default),
-              'naive' (per-cycle reference loop, for debugging; results
-              are bit-identical to events), or 'fluid' (continuous-event
-              fair-sharing backend with limit-cycle fast-forward)
+--engine      cycle loop: 'events' (event-horizon skipping and
+              limit-cycle fast-forward, default) or 'naive' (per-cycle
+              reference loop, for debugging; results are bit-identical
+              to events)
 --checkpoint  journal each finished cell to DIR/campaign.journal, fsynced
               per record, so a crashed campaign loses at most the cells
               in flight (scenario-file mode only)

@@ -675,6 +675,76 @@ impl sim_core::BusModel for Bus {
             }
         }
     }
+
+    /// The bus is closed when its policy and filter are, it keeps a
+    /// counting trace (a recording one needs every grant instant), no
+    /// flip watcher observes it and no privileged reservation is queued.
+    /// The state is the in-flight transaction and the pending slots; the
+    /// counters are the trace totals, the per-core wait counts and sums,
+    /// and the idle and total cycle counts. The worst wait needs no
+    /// counter: a periodic regime only repeats waits already observed.
+    fn signature(&self, now: Cycle, state: &mut Vec<u64>, counters: &mut Vec<(u64, u64)>) -> bool {
+        if self.trace.records().is_some()
+            || self.flip_watch.is_some()
+            || !self.privileged.is_empty()
+        {
+            return false;
+        }
+        match self.state {
+            BusState::Idle => state.extend([0; 4]),
+            BusState::Busy {
+                owner,
+                started,
+                ends_at,
+                kind,
+            } => state.extend([
+                owner.index() as u64 + 1,
+                ends_at - now,
+                ends_at - started,
+                kind as u64,
+            ]),
+        }
+        for slot in CoreId::all(self.config.n_cores).map(|c| self.pending.get(c)) {
+            match slot {
+                Some(r) => {
+                    state.extend([r.duration() as u64, now - r.issued_at(), r.kind() as u64])
+                }
+                None => state.extend([0; 3]),
+            }
+        }
+        if !self.policy.signature(state) || !self.filter.signature(state) {
+            return false;
+        }
+        self.trace.push_counters(counters);
+        let wait = self.wait.granted.iter().chain(&self.wait.total_wait);
+        let cycles = [self.idle_cycles, self.total_cycles];
+        counters.extend(wait.chain(&cycles).map(|&v| (v, u64::MAX)));
+        true
+    }
+
+    fn shift(&mut self, periods: u64, span: Cycle, deltas: &[u64]) {
+        if let BusState::Busy {
+            started, ends_at, ..
+        } = &mut self.state
+        {
+            *started += span;
+            *ends_at += span;
+        }
+        self.pending.shift_issue_times(span);
+        self.last_cycle = self.last_cycle.map(|t| t + span);
+        let n = self.config.n_cores;
+        let (trace, rest) = deltas.split_at(2 * n);
+        self.trace.shift(periods, span, trace);
+        let counts = self
+            .wait
+            .granted
+            .iter_mut()
+            .chain(&mut self.wait.total_wait);
+        let cycles = counts.chain([&mut self.idle_cycles, &mut self.total_cycles]);
+        for (count, &delta) in cycles.zip(rest) {
+            *count += periods * delta;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -107,6 +107,14 @@ impl PendingSet {
         out.extend(self.iter().map(Candidate::from));
     }
 
+    /// Moves every pending request's issue cycle `span` cycles later (a
+    /// limit-cycle fast-forward relocating the bus in time).
+    pub(crate) fn shift_issue_times(&mut self, span: Cycle) {
+        for req in self.slots.iter_mut().flatten() {
+            req.issued_at += span;
+        }
+    }
+
     /// Clears all pending requests (used when resetting a platform between
     /// Monte-Carlo runs).
     pub fn clear(&mut self) {

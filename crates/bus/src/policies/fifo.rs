@@ -37,6 +37,10 @@ impl ArbitrationPolicy for Fifo {
             .min_by_key(|c| (c.issued_at, c.core.index()))
             .map(|c| c.core)
     }
+
+    fn signature(&self, _state: &mut Vec<u64>) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -36,6 +36,10 @@ impl ArbitrationPolicy for FixedPriority {
         // candidates are ordered by core index, so the first is the winner.
         candidates.first().map(|c| c.core)
     }
+
+    fn signature(&self, _state: &mut Vec<u64>) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -85,6 +85,11 @@ impl ArbitrationPolicy for RoundRobin {
     fn reset(&mut self) {
         self.next = 0;
     }
+
+    fn signature(&self, state: &mut Vec<u64>) -> bool {
+        state.push(self.next as u64);
+        true
+    }
 }
 
 #[cfg(test)]

@@ -102,6 +102,18 @@ pub trait ArbitrationPolicy: std::fmt::Debug {
         let _ = (candidates, now);
         None
     }
+
+    /// Limit-cycle hook (see
+    /// [`BusModel::signature`](sim_core::BusModel::signature)): appends
+    /// the policy's internal state to `state` and returns whether the
+    /// policy is **closed** — its choices depend only on that state and
+    /// on the candidates (relative issue times included), never on a
+    /// random draw or the absolute cycle. The default, `false`, disables
+    /// fast-forward on any bus that runs the policy.
+    fn signature(&self, state: &mut Vec<u64>) -> bool {
+        let _ = state;
+        false
+    }
 }
 
 /// How an [`EligibilityFilter`]'s verdicts can evolve over an
@@ -193,6 +205,18 @@ pub trait EligibilityFilter: std::fmt::Debug {
 
     /// Resets internal state for a fresh run.
     fn reset(&mut self) {}
+
+    /// Limit-cycle hook (see
+    /// [`BusModel::signature`](sim_core::BusModel::signature)): appends
+    /// the filter's internal state to `state` and returns whether the
+    /// filter is **closed** — its verdicts and updates depend only on
+    /// that state, the grants and the pending set, never on the absolute
+    /// cycle. The default, `false`, disables fast-forward on any bus that
+    /// runs the filter.
+    fn signature(&self, state: &mut Vec<u64>) -> bool {
+        let _ = state;
+        false
+    }
 }
 
 /// The identity filter: every pending request is always eligible.
@@ -221,6 +245,10 @@ impl EligibilityFilter for NoFilter {
 
     fn next_eligibility_flip(&self, _now: Cycle, _pending: &PendingSet) -> FilterHorizon {
         FilterHorizon::Static
+    }
+
+    fn signature(&self, _state: &mut Vec<u64>) -> bool {
+        true
     }
 }
 

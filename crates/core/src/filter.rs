@@ -290,6 +290,14 @@ impl EligibilityFilter for CreditFilter {
         let mode = self.mode;
         *self = CreditFilter::with_mode(config, mode);
     }
+
+    /// Budgets and `COMP` latches are the whole state: the counters
+    /// evolve per cycle of occupancy, never by the absolute cycle.
+    fn signature(&self, state: &mut Vec<u64>) -> bool {
+        let cells = self.counters.iter().zip(&self.comp);
+        state.extend(cells.flat_map(|(counter, &comp)| [counter.value(), comp as u64]));
+        true
+    }
 }
 
 #[cfg(test)]

@@ -136,6 +136,22 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for Contender {
             ..Default::default()
         }
     }
+
+    /// Stateless between ticks (its one request is always posted or in
+    /// service, which the bus captures); grants are its counter.
+    fn signature(
+        &self,
+        _now: Cycle,
+        _state: &mut Vec<u64>,
+        counters: &mut Vec<(u64, u64)>,
+    ) -> bool {
+        counters.push((self.grants, u64::MAX));
+        true
+    }
+
+    fn shift(&mut self, periods: u64, _span: Cycle, deltas: &[u64]) {
+        self.grants += periods * deltas[0];
+    }
 }
 
 /// A periodic contender: issues a `duration`-cycle request every `period`
@@ -222,13 +238,6 @@ impl PeriodicContender {
     pub fn wake_at(&self) -> Option<Cycle> {
         Some(self.next_issue)
     }
-
-    /// Shifts the contender's only absolute-time state (`next_issue`) by
-    /// `delta` cycles, for engines that fast-forward a detected limit
-    /// cycle arithmetically instead of replaying its ticks.
-    pub fn shift_time(&mut self, delta: Cycle) {
-        self.next_issue += delta;
-    }
 }
 
 /// The open client-side interface: a periodic contender never finishes
@@ -261,6 +270,18 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for PeriodicCont
             completed: self.grants,
             ..Default::default()
         }
+    }
+
+    /// The next issue cycle is the whole state; grants are its counter.
+    fn signature(&self, now: Cycle, state: &mut Vec<u64>, counters: &mut Vec<(u64, u64)>) -> bool {
+        state.push(self.next_issue - now);
+        counters.push((self.grants, u64::MAX));
+        true
+    }
+
+    fn shift(&mut self, periods: u64, span: Cycle, deltas: &[u64]) {
+        self.next_issue += span;
+        self.grants += periods * deltas[0];
     }
 }
 

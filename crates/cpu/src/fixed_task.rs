@@ -151,34 +151,6 @@ impl FixedRequestTask {
         }
     }
 
-    /// Shifts the task's only absolute-time state (the pending `post_at`,
-    /// while computing) by `delta` cycles. Fast-forwarding engines that
-    /// replay a detected limit cycle arithmetically use this to relocate
-    /// the task in time without replaying ticks; counters and `done_at`
-    /// are untouched.
-    pub fn shift_time(&mut self, delta: Cycle) {
-        if let FixedState::Computing { post_at } = &mut self.state {
-            *post_at += delta;
-        }
-    }
-
-    /// Credits `k` further completed (and issued) requests without
-    /// ticking, for engines that fast-forward whole recurring periods.
-    /// The task must stay strictly below `n_requests` completions: the
-    /// final completion has to execute live so `done_at` is observed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` would reach or exceed the final completion.
-    pub fn absorb_completions(&mut self, k: u64) {
-        assert!(
-            self.completed + k < self.n_requests,
-            "the final completion must execute live"
-        );
-        self.completed += k;
-        self.issued += k;
-    }
-
     /// Sleep horizon for the event-driven engine: nothing happens until
     /// the next post cycle (while computing) or the next completion
     /// (while waiting or done — `Cycle::MAX`, a bus event wakes it).
@@ -238,6 +210,34 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for FixedRequest
             done_at: self.done_at,
             ..Default::default()
         }
+    }
+
+    /// The phase (with the next post cycle while computing) is the whole
+    /// state; completions are the one counter, capped one below
+    /// `n_requests` so the final completion — and `done_at` — execute
+    /// live.
+    fn signature(&self, now: Cycle, state: &mut Vec<u64>, counters: &mut Vec<(u64, u64)>) -> bool {
+        state.extend(match self.state {
+            FixedState::Computing { post_at } => [0, post_at - now],
+            FixedState::Waiting => [1, 0],
+            FixedState::Done => [2, 0],
+        });
+        counters.push((self.completed, self.n_requests - 1));
+        true
+    }
+
+    fn shift(&mut self, periods: u64, span: Cycle, deltas: &[u64]) {
+        if let FixedState::Computing { post_at } = &mut self.state {
+            *post_at += span;
+        }
+        let completions = periods * deltas[0];
+        assert!(
+            completions == 0 || self.completed + completions < self.n_requests,
+            "the final completion must execute live"
+        );
+        // Each period issues as many requests as it completes.
+        self.completed += completions;
+        self.issued += completions;
     }
 }
 

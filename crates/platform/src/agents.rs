@@ -328,6 +328,14 @@ impl<M: RequestPort + 'static> SimAgent<M, CompletedTransaction> for PortAgent {
         self.0.is_inert()
     }
 
+    fn signature(&self, now: Cycle, state: &mut Vec<u64>, counters: &mut Vec<(u64, u64)>) -> bool {
+        self.0.signature(now, state, counters)
+    }
+
+    fn shift(&mut self, periods: u64, span: Cycle, deltas: &[u64]) {
+        self.0.shift(periods, span, deltas)
+    }
+
     fn done_at(&self) -> Option<Cycle> {
         self.0.done_at()
     }

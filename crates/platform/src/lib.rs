@@ -8,7 +8,6 @@ pub mod checkpoint;
 pub mod config;
 pub mod executor;
 pub mod experiments;
-pub mod fluid;
 pub mod platform;
 pub mod probes;
 pub mod report;

@@ -12,7 +12,7 @@ use cba_workloads::EembcProfile;
 use sim_core::agent::MemStats;
 use sim_core::lfsr::LfsrBank;
 use sim_core::rng::SimRng;
-use sim_core::{BusModel, CoreId, Cycle, Engine, Probe, Simulation, StopWhen};
+use sim_core::{BusModel, CoreId, Cycle, Engine, Probe, Simulation, SimulationBuilder, StopWhen};
 use std::fmt;
 
 /// What one core runs during a run.
@@ -180,32 +180,26 @@ impl fmt::Display for Scenario {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum DriveMode {
-    /// The event-horizon fast path ([`sim_core::drive_events`]): skips
-    /// provably uneventful cycle ranges (mid-transaction stretches, idle
-    /// TDMA slots, credit-recovery waits). The default.
+    /// The events engine ([`sim_core::Engine::Events`]): skips provably
+    /// uneventful cycle ranges (mid-transaction stretches, idle TDMA
+    /// slots, credit-recovery waits) and fast-forwards runs that settle
+    /// into a limit cycle (flat RR/FIFO/fixed-priority buses under
+    /// synthetic loads). The default.
     #[default]
     Events,
-    /// The per-cycle reference loop ([`sim_core::drive`]): visits every
-    /// cycle. Selectable per scenario (`engine = naive`) or via
+    /// The per-cycle reference loop ([`sim_core::Engine::Naive`]): visits
+    /// every cycle. Selectable per scenario (`engine = naive`) or via
     /// `cba_sim --engine naive`.
     Naive,
-    /// The continuous-event executor ([`crate::fluid`]): grants and
-    /// completions as a sparse event stream over a de-virtualized model,
-    /// with limit-cycle fast-forward on flat synthetic runs. Selectable
-    /// per scenario (`engine = fluid`) or via `cba_sim --engine fluid`;
-    /// cross-validated against the events engine by the workspace's
-    /// accuracy and differential test suites.
-    Fluid,
 }
 
 /// Renders as the scenario `engine` key's vocabulary (`events`,
-/// `naive`, `fluid`).
+/// `naive`).
 impl fmt::Display for DriveMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             DriveMode::Events => "events",
             DriveMode::Naive => "naive",
-            DriveMode::Fluid => "fluid",
         })
     }
 }
@@ -567,9 +561,6 @@ pub fn run_once_with(spec: &RunSpec, seed: u64, registry: &AgentRegistry) -> Run
     if let Err(why) = spec.validate() {
         panic!("invalid run spec: {why}");
     }
-    if spec.drive == DriveMode::Fluid {
-        return crate::fluid::run_fluid(spec, seed, registry);
-    }
     let rng = SimRng::seed_from(seed);
     match &spec.platform.topology {
         None => execute(build_bus(spec, &rng), spec, &rng, registry),
@@ -614,7 +605,7 @@ fn build_bus(spec: &RunSpec, rng: &SimRng) -> Bus {
 /// `WcetEstimation` mode; every other segment arbitrates in operation
 /// mode — contenders on remote clusters never share the TuA's segment, so
 /// the COMP gating applies exactly where the TuA competes.
-pub(crate) fn build_fabric(spec: &RunSpec, topo: &FabricTopology, rng: &SimRng) -> Fabric {
+fn build_fabric(spec: &RunSpec, topo: &FabricTopology, rng: &SimRng) -> Fabric {
     let maxl = spec.platform.latency.max_latency();
     let config = FabricConfig::new(
         topo.clusters,
@@ -677,16 +668,43 @@ pub(crate) fn build_fabric(spec: &RunSpec, topo: &FabricTopology, rng: &SimRng) 
     fabric
 }
 
-/// Builds the agents through the registry, assembles a
-/// [`Simulation`] over `bus` and extracts the [`RunResult`] — shared
-/// verbatim by the flat-bus and fabric paths, so both run the exact same
-/// engine and accounting.
+/// Assembles a [`Simulation`] over `bus`, runs it and extracts the
+/// [`RunResult`] — shared verbatim by the flat-bus and fabric paths, so
+/// both run the exact same engine and accounting.
 fn execute<M: SimModel + 'static>(
     bus: M,
     spec: &RunSpec,
     rng: &SimRng,
     registry: &AgentRegistry,
 ) -> RunResult {
+    let builder = assemble(bus, spec, rng, registry);
+    match spec.windows {
+        None => {
+            let sim = builder.run();
+            extract(&sim, spec, None)
+        }
+        Some(w) => {
+            let StopCondition::Horizon(h) = spec.stop else {
+                unreachable!("validated: windows require a horizon stop");
+            };
+            let window_len = h / w as Cycle;
+            let probe = WindowedFairnessProbe::new(spec.platform.n_cores, window_len, w as usize);
+            let sim = builder.observe(probe).run();
+            let windows = sim.probe().snapshot();
+            extract(&sim, spec, Some(windows))
+        }
+    }
+}
+
+/// Builds the agents through the registry and assembles the
+/// [`Simulation`] over `bus`: stop condition, engine and safety limit
+/// from `spec`.
+fn assemble<M: SimModel + 'static>(
+    bus: M,
+    spec: &RunSpec,
+    rng: &SimRng,
+    registry: &AgentRegistry,
+) -> SimulationBuilder<M> {
     let platform = &spec.platform;
     // One coherence hub per run, shared by every `shared` agent so their
     // snoops see each other (validated: such loads imply `memory`).
@@ -715,7 +733,7 @@ fn execute<M: SimModel + 'static>(
             Box::new(PortAgent::new(agent)) as sim_core::BoxedAgent<M>
         })
         .collect();
-    let builder = Simulation::builder()
+    Simulation::builder()
         .model(bus)
         .agents(agents)
         .stop(match spec.stop {
@@ -726,25 +744,8 @@ fn execute<M: SimModel + 'static>(
         .engine(match spec.drive {
             DriveMode::Events => Engine::Events,
             DriveMode::Naive => Engine::Naive,
-            DriveMode::Fluid => unreachable!("fluid runs dispatch to crate::fluid::run_fluid"),
         })
-        .max_cycles(spec.max_cycles);
-    match spec.windows {
-        None => {
-            let sim = builder.run();
-            extract(&sim, spec, None)
-        }
-        Some(w) => {
-            let StopCondition::Horizon(h) = spec.stop else {
-                unreachable!("validated: windows require a horizon stop");
-            };
-            let window_len = h / w as Cycle;
-            let probe = WindowedFairnessProbe::new(platform.n_cores, window_len, w as usize);
-            let sim = builder.observe(probe).run();
-            let windows = sim.probe().snapshot();
-            extract(&sim, spec, Some(windows))
-        }
-    }
+        .max_cycles(spec.max_cycles)
 }
 
 /// Pulls the [`RunResult`] out of a finished [`Simulation`].
@@ -784,6 +785,7 @@ fn extract<M: SimModel, P: Probe<CompletedTransaction>>(
 mod tests {
     use super::*;
     use crate::BusSetup;
+    use sim_core::AgentStats;
 
     #[test]
     fn isolation_run_finishes_deterministically() {
@@ -897,6 +899,23 @@ mod tests {
         assert!(r.max_burst.iter().any(|b| b.is_some()));
     }
 
+    /// Runs `spec` under both cycle loops on seeds 1 and 7 and asserts
+    /// the whole `RunResult`s agree: traces, wait statistics, cycle
+    /// counters and windowed fairness.
+    fn assert_naive_matches_events(spec: &RunSpec, what: &str) {
+        for seed in [1, 7] {
+            let mut naive = spec.clone();
+            naive.drive = DriveMode::Naive;
+            let mut events = spec.clone();
+            events.drive = DriveMode::Events;
+            assert_eq!(
+                run_once(&naive, seed),
+                run_once(&events, seed),
+                "{what} seed {seed}"
+            );
+        }
+    }
+
     /// The two cycle loops must agree exactly — whole `RunResult`s,
     /// including traces, wait statistics and cycle counters.
     #[test]
@@ -918,19 +937,76 @@ mod tests {
                 },
             ),
         ];
-        for (i, spec) in specs.into_iter().enumerate() {
-            for seed in [1, 7] {
-                let mut naive = spec.clone();
-                naive.drive = DriveMode::Naive;
-                let mut events = spec.clone();
-                events.drive = DriveMode::Events;
-                assert_eq!(
-                    run_once(&naive, seed),
-                    run_once(&events, seed),
-                    "spec {i} seed {seed}"
-                );
-            }
+        for (i, spec) in specs.iter().enumerate() {
+            assert_naive_matches_events(spec, &format!("spec {i}"));
         }
+    }
+
+    /// RP, CBA and H-CBA under maximum contention.
+    #[test]
+    fn naive_matches_events_on_paper_cells() {
+        for setup in [BusSetup::Rp, BusSetup::Cba, BusSetup::HCba] {
+            let spec = RunSpec::paper(
+                setup.clone(),
+                Scenario::MaxContention,
+                CoreLoad::FixedTask {
+                    n_requests: 200,
+                    duration: 6,
+                    gap: 4,
+                },
+            );
+            assert_naive_matches_events(&spec, &format!("{setup:?}"));
+        }
+    }
+
+    /// A horizon-stopped run with windowed fairness.
+    #[test]
+    fn naive_matches_events_on_horizon_and_windows() {
+        let mut spec = RunSpec::paper(
+            BusSetup::Cba,
+            Scenario::MaxContention,
+            CoreLoad::Saturating { duration: 5 },
+        );
+        spec.wcet_mode = false;
+        spec.stop = StopCondition::Horizon(24_000);
+        spec.windows = Some(8);
+        assert_naive_matches_events(&spec, "windowed");
+    }
+
+    /// A run that records its grant trace (burst metrics included).
+    #[test]
+    fn naive_matches_events_on_recording_runs() {
+        let mut spec = RunSpec::paper(
+            BusSetup::Cba,
+            Scenario::MaxContention,
+            CoreLoad::named("matrix"),
+        );
+        spec.record_trace = true;
+        assert_naive_matches_events(&spec, "recording");
+    }
+
+    /// A 4x4 round-robin fabric.
+    #[test]
+    fn naive_matches_events_on_a_fabric() {
+        let mut platform = PlatformConfig::paper(&BusSetup::Rp);
+        platform.n_cores = 16;
+        platform.cba = None;
+        platform.topology = Some(FabricTopology {
+            clusters: 4,
+            cores_per_cluster: 4,
+            bridge_latency: 4,
+            bridge_depth: 2,
+            cluster_policy: cba_bus::PolicyKind::RoundRobin,
+            cluster_cba: None,
+            backbone_policy: cba_bus::PolicyKind::RoundRobin,
+            backbone_cba: None,
+        });
+        let sat = CoreLoad::Saturating { duration: 28 };
+        let mut spec =
+            RunSpec::with_platform(platform, Scenario::Custom(vec![sat.clone(); 15]), sat);
+        spec.wcet_mode = false;
+        spec.stop = StopCondition::Horizon(50_000);
+        assert_naive_matches_events(&spec, "fabric");
     }
 
     #[test]
@@ -951,6 +1027,152 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.finished);
         assert_eq!(a.total_cycles, 20_000, "horizon must not be overshot");
+    }
+
+    /// A [`Bus`] that counts its `begin_cycle` calls (the cycles the
+    /// engine executes) and forwards the limit-cycle hooks only when
+    /// `hooks` is set.
+    struct CountingBus {
+        bus: Bus,
+        begins: u64,
+        hooks: bool,
+    }
+
+    impl BusModel for CountingBus {
+        type Request = BusRequest;
+        type Completion = CompletedTransaction;
+        type Error = BusError;
+
+        fn begin_cycle(&mut self, now: Cycle) -> Option<CompletedTransaction> {
+            self.begins += 1;
+            self.bus.begin_cycle(now)
+        }
+        fn post(&mut self, req: BusRequest) -> Result<(), BusError> {
+            self.bus.post(req)
+        }
+        fn end_cycle(&mut self, now: Cycle) -> Option<CoreId> {
+            self.bus.end_cycle(now)
+        }
+        fn owner(&self) -> Option<CoreId> {
+            self.bus.owner()
+        }
+        fn trace(&self) -> &sim_core::trace::GrantTrace {
+            self.bus.trace()
+        }
+        fn next_event(&mut self, now: Cycle) -> Option<Cycle> {
+            self.bus.next_event(now)
+        }
+        fn advance(&mut self, from: Cycle, to: Cycle) {
+            self.bus.advance(from, to)
+        }
+        fn drain_events(&mut self, sink: &mut dyn FnMut(sim_core::ModelEvent)) {
+            self.bus.drain_events(sink)
+        }
+        fn signature(
+            &self,
+            now: Cycle,
+            state: &mut Vec<u64>,
+            counters: &mut Vec<(u64, u64)>,
+        ) -> bool {
+            self.hooks && self.bus.signature(now, state, counters)
+        }
+        fn shift(&mut self, periods: u64, span: Cycle, deltas: &[u64]) {
+            self.bus.shift(periods, span, deltas)
+        }
+    }
+
+    impl RequestPort for CountingBus {
+        fn post(&mut self, req: BusRequest) -> Result<(), BusError> {
+            self.bus.post(req)
+        }
+        fn withdraw(&mut self, core: CoreId) -> Option<BusRequest> {
+            self.bus.withdraw(core)
+        }
+        fn can_accept(&self, core: CoreId) -> bool {
+            RequestPort::can_accept(&self.bus, core)
+        }
+    }
+
+    impl SimModel for CountingBus {
+        fn model_idle_cycles(&self) -> u64 {
+            self.bus.model_idle_cycles()
+        }
+        fn tua_wait(&self) -> (f64, u64) {
+            self.bus.tua_wait()
+        }
+    }
+
+    /// What a run on a [`CountingBus`] must reproduce exactly: the
+    /// result, every agent's statistics and every core's wait statistics
+    /// (grants, mean and worst wait).
+    type Observed = (RunResult, Vec<AgentStats>, Vec<(u64, f64, u64)>);
+
+    /// Runs `spec` on a [`CountingBus`]: what it observed and the number
+    /// of executed cycles.
+    fn run_counting(spec: &RunSpec, hooks: bool) -> (Observed, u64) {
+        let rng = SimRng::seed_from(3);
+        let bus = CountingBus {
+            bus: build_bus(spec, &rng),
+            begins: 0,
+            hooks,
+        };
+        let sim = assemble(bus, spec, &rng, default_registry()).run();
+        let stats = sim.agents().iter().map(|a| a.stats()).collect();
+        let wait = sim.model().bus.wait_stats();
+        let waits = CoreId::all(spec.platform.n_cores)
+            .map(|c| (wait.granted(c), wait.mean_wait(c), wait.max_wait(c)))
+            .collect();
+        let observed = (extract(&sim, spec, None), stats, waits);
+        (observed, sim.model().begins)
+    }
+
+    /// The limit-cycle fast-forward must fire on its eligible shape (RR,
+    /// synthetic loads) and stay exact: a broken eligibility check would
+    /// otherwise pass every identity test silently.
+    ///
+    /// This mix repeats every 4,500 cycles. The detection period and the
+    /// final partial period (up to the TuA's last completion, which runs
+    /// live) always execute, so the saving grows with the run: about 6x
+    /// fewer executed cycles at 500 TuA requests (~11 periods), well over
+    /// 10x at 5,000.
+    #[test]
+    fn fast_forward_fires_and_matches_naive() {
+        for (n_requests, min_saving) in [(500, 4), (5_000, 10)] {
+            let rr = BusSetup::Custom {
+                policy: cba_bus::PolicyKind::RoundRobin,
+                cba: None,
+            };
+            let mut spec = RunSpec::paper(
+                rr,
+                Scenario::Custom(vec![
+                    CoreLoad::Saturating { duration: 28 },
+                    CoreLoad::Saturating { duration: 56 },
+                    CoreLoad::Periodic {
+                        duration: 8,
+                        period: 100,
+                        phase: 13,
+                    },
+                ]),
+                CoreLoad::FixedTask {
+                    n_requests,
+                    duration: 6,
+                    gap: 0,
+                },
+            );
+            spec.wcet_mode = false;
+            let mut naive_spec = spec.clone();
+            naive_spec.drive = DriveMode::Naive;
+            let (naive, _) = run_counting(&naive_spec, true);
+            let (fast, fast_cycles) = run_counting(&spec, true);
+            let (stepped, stepped_cycles) = run_counting(&spec, false);
+            assert_eq!(fast, naive, "{n_requests}");
+            assert_eq!(stepped, naive, "{n_requests}");
+            assert!(
+                fast_cycles * min_saving <= stepped_cycles,
+                "{n_requests} requests: fast-forward executed {fast_cycles} cycles, \
+                 events without it {stepped_cycles}"
+            );
+        }
     }
 
     #[test]

@@ -210,10 +210,9 @@ pub struct Template {
     pub caps: Option<String>,
     /// Drive arbitration randomness from the LFSR bank (default on).
     pub lfsr: bool,
-    /// Cycle engine: `events` (fast path, default), `naive` (per-cycle
-    /// reference loop, for debugging — results are bit-identical), or
-    /// `fluid` (continuous-event fair-sharing backend with limit-cycle
-    /// fast-forward).
+    /// Cycle engine: `events` (fast path with limit-cycle fast-forward,
+    /// default) or `naive` (per-cycle reference loop, for debugging —
+    /// results are bit-identical).
     pub engine: String,
     /// Core-0 load (default `bench:rspeed`).
     pub tua: TuaSpec,
@@ -1312,17 +1311,13 @@ const PROFILE_KNOBS: &[&str] = &[
     "between",
 ];
 
-/// Parses a cycle-engine selector: `events` (the fast path), `naive`
-/// (the per-cycle reference loop), or `fluid` (the continuous-event
-/// fair-sharing backend), case-insensitively.
+/// Parses a cycle-engine selector: `events` (the fast path) or `naive`
+/// (the per-cycle reference loop), case-insensitively.
 pub fn parse_engine(s: &str) -> Result<DriveMode, String> {
     match s.to_ascii_lowercase().as_str() {
         "events" | "fast" => Ok(DriveMode::Events),
         "naive" | "cycle" => Ok(DriveMode::Naive),
-        "fluid" => Ok(DriveMode::Fluid),
-        other => Err(format!(
-            "unknown engine '{other}' (expected events, naive, fluid)"
-        )),
+        other => Err(format!("unknown engine '{other}' (expected events, naive)")),
     }
 }
 

@@ -160,6 +160,31 @@ pub trait SimAgent<P: ?Sized, C = ()> {
     fn stats(&self) -> AgentStats {
         AgentStats::default()
     }
+
+    /// Limit-cycle hook of the events engine (see
+    /// [`Simulation::run`](crate::sim::Simulation::run)): appends the
+    /// agent's complete dynamic state after its tick at `now` to `state`,
+    /// with every absolute cycle written as an offset from `now`, and its
+    /// monotone counters to `counters` as `(value, ceiling)` pairs — the
+    /// ceiling being the largest value a fast-forward may credit (e.g. one
+    /// below a finite task's last completion, which must execute live).
+    ///
+    /// Returns whether the agent is **closed**: its future depends only on
+    /// what it wrote and on the completions the model reports. The
+    /// default, `false`, disables fast-forward for the whole run.
+    fn signature(&self, now: Cycle, state: &mut Vec<u64>, counters: &mut Vec<(u64, u64)>) -> bool {
+        let _ = (now, state, counters);
+        false
+    }
+
+    /// Limit-cycle hook: moves the agent `periods` whole periods ahead,
+    /// `span` cycles in all. Every absolute cycle grows by `span`, every
+    /// counter by `periods ×` its per-period growth in `deltas` (one
+    /// entry per counter, in [`signature`](SimAgent::signature) order).
+    /// Only called on agents whose `signature` returned `true`.
+    fn shift(&mut self, periods: u64, span: Cycle, deltas: &[u64]) {
+        let _ = (periods, span, deltas);
+    }
 }
 
 /// The trivial agent: never posts, is always done, sleeps forever.
@@ -194,6 +219,15 @@ impl<P: ?Sized, C> SimAgent<P, C> for Idle {
     }
 
     fn reset(&mut self, _rng: &mut SimRng) {}
+
+    fn signature(
+        &self,
+        _now: Cycle,
+        _state: &mut Vec<u64>,
+        _counters: &mut Vec<(u64, u64)>,
+    ) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

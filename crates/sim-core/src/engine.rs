@@ -84,6 +84,10 @@
 //! assert_eq!(bus.trace().total_slots(), 50);
 //! ```
 
+use crate::agent::SimAgent;
+use crate::probe::NoProbe;
+use crate::rng::SimRng;
+use crate::sim::{Engine, StopWhen};
 use crate::trace::GrantTrace;
 use crate::{CoreId, Cycle};
 
@@ -216,6 +220,34 @@ pub trait BusModel {
     fn drain_events(&mut self, sink: &mut dyn FnMut(crate::probe::ModelEvent)) {
         let _ = sink;
     }
+
+    /// Limit-cycle hook of the events engine (see
+    /// [`Simulation::run`](crate::sim::Simulation::run)): appends the
+    /// model's complete dynamic state at the end of executed cycle `now`
+    /// to `state`, with every absolute cycle written as an offset from
+    /// `now`, and its monotone counters (grants, busy and idle cycles,
+    /// wait sums) to `counters` as `(value, ceiling)` pairs.
+    ///
+    /// Returns whether the model is **closed**: its future depends only
+    /// on what it wrote and on the requests clients post — no random
+    /// draws, no absolute-time rules, no observer that needs individual
+    /// cycles. The default, `false`, disables fast-forward for the whole
+    /// run.
+    fn signature(&self, now: Cycle, state: &mut Vec<u64>, counters: &mut Vec<(u64, u64)>) -> bool {
+        let _ = (now, state, counters);
+        false
+    }
+
+    /// Limit-cycle hook: moves the model `periods` whole periods ahead,
+    /// `span` cycles in all, exactly as if the periods had been executed.
+    /// Every absolute cycle (in-flight and pending timestamps, the cycle
+    /// cursor) grows by `span`, every counter by `periods ×` its
+    /// per-period growth in `deltas` (one entry per counter, in
+    /// [`signature`](BusModel::signature) order). Only called on models
+    /// whose `signature` returned `true`.
+    fn shift(&mut self, periods: u64, span: Cycle, deltas: &[u64]) {
+        let _ = (periods, span, deltas);
+    }
 }
 
 /// Per-cycle verdict returned by the [`drive`] / [`drive_events`]
@@ -258,25 +290,9 @@ pub struct DriveOutcome {
 pub fn drive<M: BusModel>(
     bus: &mut M,
     max_cycles: Cycle,
-    mut cycle_fn: impl FnMut(&mut M, Cycle, Option<&M::Completion>) -> Control,
+    cycle_fn: impl FnMut(&mut M, Cycle, Option<&M::Completion>) -> Control,
 ) -> DriveOutcome {
-    let mut now: Cycle = 0;
-    while now < max_cycles {
-        let completed = bus.begin_cycle(now);
-        let control = cycle_fn(bus, now, completed.as_ref());
-        bus.end_cycle(now);
-        now += 1;
-        if control == Control::Stop {
-            return DriveOutcome {
-                cycles: now,
-                stopped: true,
-            };
-        }
-    }
-    DriveOutcome {
-        cycles: now,
-        stopped: false,
-    }
+    drive_with(bus, max_cycles, Engine::Naive, cycle_fn)
 }
 
 /// Drives `bus` like [`drive`], but jumps over provably uneventful cycle
@@ -299,58 +315,63 @@ pub fn drive<M: BusModel>(
 pub fn drive_events<M: BusModel>(
     bus: &mut M,
     max_cycles: Cycle,
-    mut cycle_fn: impl FnMut(&mut M, Cycle, Option<&M::Completion>) -> Control,
+    cycle_fn: impl FnMut(&mut M, Cycle, Option<&M::Completion>) -> Control,
 ) -> DriveOutcome {
-    let mut now: Cycle = 0;
-    while now < max_cycles {
-        let completed = bus.begin_cycle(now);
-        let control = cycle_fn(bus, now, completed.as_ref());
-        bus.end_cycle(now);
-        match control {
-            Control::Stop => {
-                return DriveOutcome {
-                    cycles: now + 1,
-                    stopped: true,
-                }
-            }
-            Control::Continue => now += 1,
-            Control::Sleep(until) => {
-                let step = now + 1;
-                let mut target = step;
-                if until > step {
-                    if let Some(event) = bus.next_event(now) {
-                        let jump = event.min(until).min(max_cycles);
-                        if jump > step {
-                            bus.advance(now, jump);
-                            target = jump;
-                        }
-                    }
-                }
-                now = target;
-            }
+    drive_with(bus, max_cycles, Engine::Events, cycle_fn)
+}
+
+/// Runs a [`drive`]/[`drive_events`] callback as the single agent of the
+/// [`Simulation`](crate::sim::Simulation) cycle loop, which stops only on
+/// [`Control::Stop`] or `max_cycles`.
+fn drive_with<M: BusModel, F: FnMut(&mut M, Cycle, Option<&M::Completion>) -> Control>(
+    bus: &mut M,
+    max_cycles: Cycle,
+    engine: Engine,
+    cycle_fn: F,
+) -> DriveOutcome {
+    /// The callback as an agent that never finishes on its own.
+    struct Callback<F>(F);
+
+    impl<M: BusModel, F: FnMut(&mut M, Cycle, Option<&M::Completion>) -> Control>
+        SimAgent<M, M::Completion> for Callback<F>
+    {
+        fn tick(&mut self, now: Cycle, completed: Option<&M::Completion>, bus: &mut M) -> Control {
+            (self.0)(bus, now, completed)
         }
+
+        fn is_done(&self) -> bool {
+            false
+        }
+
+        fn reset(&mut self, _rng: &mut SimRng) {}
     }
-    DriveOutcome {
-        cycles: max_cycles,
-        stopped: false,
-    }
+
+    let mut agent = Callback(cycle_fn);
+    crate::sim::run_loop(
+        bus,
+        &mut [&mut agent],
+        &mut NoProbe,
+        StopWhen::AllAgentsDone,
+        engine,
+        max_cycles,
+    )
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    /// Minimal in-crate model for engine tests.
+    /// Minimal in-crate model for the engine and simulation tests.
     #[derive(Debug)]
-    struct OneShot {
+    pub(crate) struct OneShot {
         trace: GrantTrace,
-        pending: Option<u32>,
+        pub(crate) pending: Option<u32>,
         busy_until: Option<Cycle>,
-        skipped: u64,
+        pub(crate) skipped: u64,
     }
 
     impl OneShot {
-        fn new() -> Self {
+        pub(crate) fn new() -> Self {
             OneShot {
                 trace: GrantTrace::counting(1),
                 pending: None,

@@ -5,7 +5,6 @@
 pub mod agent;
 pub mod engine;
 pub mod export;
-pub mod fluid;
 pub mod lfsr;
 pub mod probe;
 pub mod rng;

@@ -74,16 +74,18 @@
 //! assert_eq!(sim.model().trace().total_slots(), 5);
 //! ```
 //!
-//! The loop reproduces [`drive`](crate::drive) /
-//! [`drive_events`](crate::drive_events) **bit for bit** (same cycles
-//! executed, same skip decisions, same stop cycle) while additionally
-//! feeding a [`Probe`]; the workspace's identity tests pin this through
-//! the platform layer.
+//! The same loop runs [`drive`](crate::drive) /
+//! [`drive_events`](crate::drive_events), with their callback as the
+//! only agent, so the facade adds only agents, a stop condition and a
+//! [`Probe`] on top of them; the workspace's identity tests pin naive ≡
+//! events through the platform layer.
 
 use crate::agent::SimAgent;
 use crate::engine::{BusModel, Control, DriveOutcome};
 use crate::probe::{ModelEvent, NoProbe, Probe};
-use crate::Cycle;
+use crate::{CoreId, Cycle};
+use std::collections::HashMap;
+use std::ops::DerefMut;
 
 /// A boxed agent driving model `M` (the common currency of
 /// [`SimulationBuilder::agent`]).
@@ -105,25 +107,15 @@ pub enum StopWhen {
 
 /// Which cycle loop executes the run. [`Engine::Events`] and
 /// [`Engine::Naive`] produce bit-identical results; see
-/// [`drive`](crate::drive) and [`drive_events`](crate::drive_events).
-/// [`Engine::Fluid`] selects the continuous-time approximation.
+/// [`Simulation::run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// The event-horizon fast path: skips provably uneventful cycle
-    /// ranges. The default.
+    /// The fast path: skips provably uneventful cycle ranges and
+    /// fast-forwards detected limit cycles. The default.
     #[default]
     Events,
     /// The per-cycle reference loop: visits every cycle.
     Naive,
-    /// The continuous-time fluid backend: pair with a model built for it
-    /// (e.g. [`fluid::FluidBus`](crate::fluid::FluidBus), whose posted
-    /// requests drain concurrently at weight-proportional rates). The
-    /// loop itself runs with event-horizon skipping — for a discrete
-    /// model this engine behaves exactly like [`Engine::Events`]; the
-    /// approximation lives in the model, and higher layers (the
-    /// platform's `DriveMode::Fluid`) substitute their fluid executor
-    /// when this engine is requested.
-    Fluid,
 }
 
 /// A fully assembled simulation: one model, its agents, a stop
@@ -158,124 +150,39 @@ impl<M: BusModel, P: Probe<M::Completion>> Simulation<M, P> {
     /// Drives the simulation to its stop condition (or the `max_cycles`
     /// safety limit) and returns the outcome.
     ///
-    /// The loop is bit-identical to [`drive`](crate::drive) (naive
-    /// engine) / [`drive_events`](crate::drive_events) (events engine)
-    /// wrapped around the canonical client-ticking closure: completions
-    /// are handed to every agent, skipped stretches are absorbed, agents'
-    /// sleep horizons bound the fast path's jumps.
+    /// Each executed cycle runs the model's `begin_cycle`, hands the
+    /// completion to every agent, runs `end_cycle` and checks the stop
+    /// condition. [`Engine::Naive`] executes every cycle;
+    /// [`Engine::Events`] adds two shortcuts, both bit-identical to it:
+    ///
+    /// * **event-horizon skipping** — when every agent sleeps and the
+    ///   model can bound its next event
+    ///   ([`BusModel::next_event`]), the uneventful cycles in between are
+    ///   bulk-advanced ([`BusModel::advance`]) and replayed to the agents
+    ///   as [`SimAgent::absorb_skipped`];
+    /// * **limit-cycle fast-forward** — when the model and every agent
+    ///   are closed (their `signature` hooks return `true`) and no active
+    ///   probe is attached, decided once per run, the loop records the
+    ///   run's state at each grant to a reference core. Once a state
+    ///   recurs, the run is periodic, and as many whole periods as fit
+    ///   before the stop horizon, `max_cycles` and every counter's
+    ///   ceiling are applied through the `shift` hooks instead of being
+    ///   executed.
+    ///
+    /// [`drive`](crate::drive) and [`drive_events`](crate::drive_events)
+    /// run this same loop with their callback as the only agent.
     ///
     /// Running consumes the workload: call it once per assembled run
     /// (reset the model and agents before reusing the same `Simulation`).
     pub fn run(&mut self) -> DriveOutcome {
-        let events = self.engine != Engine::Naive;
-        let model = &mut self.model;
-        let agents = &mut self.agents;
-        let probe = &mut self.probe;
-        let stop_when = self.stop;
-        let max_cycles = self.max_cycles;
-
-        // Inert agents (permanently-done no-ops, e.g. idle cores) are
-        // dropped from the per-cycle loop up front: their tick/absorb
-        // are no-ops and their sleep horizon is unbounded by contract.
-        let active: Vec<usize> = (0..agents.len())
-            .filter(|&i| !agents[i].is_inert())
-            .collect();
-        let mut now: Cycle = 0;
-        let mut prev: Option<Cycle> = None;
-        let mut stopped = false;
-        while now < max_cycles {
-            let completed = model.begin_cycle(now);
-            if P::ACTIVE {
-                if let Some(c) = &completed {
-                    probe.on_completion(now, c);
-                }
-            }
-            // Replay per-cycle accounting for the cycles the fast path
-            // skipped since the last executed cycle.
-            if let Some(prev) = prev {
-                let skipped = now - prev - 1;
-                if skipped > 0 {
-                    for &i in &active {
-                        agents[i].absorb_skipped(skipped);
-                    }
-                }
-            }
-            prev = Some(now);
-            // The tick verdicts carry each agent's sleep horizon (the
-            // trait contract: the verdict mirrors `wake_at`, which
-            // depends only on the agent's own state), so one pass both
-            // ticks and aggregates — no second virtual-dispatch sweep.
-            let mut agent_stop = false;
-            let mut until = Cycle::MAX;
-            let mut can_sleep = true;
-            for &i in &active {
-                match agents[i].tick(now, completed.as_ref(), model) {
-                    Control::Stop => agent_stop = true,
-                    Control::Continue => can_sleep = false,
-                    Control::Sleep(t) => until = until.min(t),
-                }
-            }
-            let granted = model.end_cycle(now);
-            if P::ACTIVE {
-                if let Some(core) = granted {
-                    probe.on_grant(now, core);
-                }
-                model.drain_events(&mut |event| forward_event(probe, event));
-            }
-            let stop = agent_stop
-                || match stop_when {
-                    StopWhen::AgentDone(i) => agents[i].is_done(),
-                    // Inert agents are done by contract: checking the
-                    // active set is equivalent.
-                    StopWhen::AllAgentsDone => active.iter().all(|&i| agents[i].is_done()),
-                    StopWhen::Horizon(h) => now + 1 >= h,
-                };
-            if stop {
-                now += 1;
-                stopped = true;
-                break;
-            }
-            if events {
-                if let StopWhen::Horizon(h) = stop_when {
-                    // The stop fires from the tick at cycle h - 1; never
-                    // skip it.
-                    until = until.min(h - 1);
-                }
-                if can_sleep && until > now + 1 {
-                    if let Some(event) = model.next_event(now) {
-                        let jump = event.min(until).min(max_cycles);
-                        if jump > now + 1 {
-                            model.advance(now, jump);
-                            now = jump;
-                            continue;
-                        }
-                    }
-                }
-            }
-            now += 1;
-        }
-        // A run that hits max_cycles mid-skip ends without another tick;
-        // absorb the tail so agent statistics stay bit-identical to the
-        // per-cycle loop.
-        if let Some(prev) = prev {
-            let tail = (now - 1).saturating_sub(prev);
-            if tail > 0 {
-                for &i in &active {
-                    agents[i].absorb_skipped(tail);
-                }
-            }
-        }
-        if P::ACTIVE {
-            // A run truncated mid-skip leaves events buffered by the
-            // final `advance` (e.g. coalesced credit flips); drain them
-            // before closing the stream.
-            model.drain_events(&mut |event| forward_event(probe, event));
-            probe.on_finish(now);
-        }
-        let outcome = DriveOutcome {
-            cycles: now,
-            stopped,
-        };
+        let outcome = run_loop(
+            &mut self.model,
+            &mut self.agents,
+            &mut self.probe,
+            self.stop,
+            self.engine,
+            self.max_cycles,
+        );
         self.outcome = Some(outcome);
         outcome
     }
@@ -322,6 +229,256 @@ impl<M: BusModel, P: Probe<M::Completion>> Simulation<M, P> {
     /// Decomposes the simulation into its parts (model, agents, probe).
     pub fn into_parts(self) -> (M, Vec<BoxedAgent<M>>, P) {
         (self.model, self.agents, self.probe)
+    }
+}
+
+/// The one cycle loop behind [`Simulation::run`], [`drive`](crate::drive)
+/// and [`drive_events`](crate::drive_events); see [`Simulation::run`] for
+/// what it does.
+pub(crate) fn run_loop<M, P, A, T>(
+    model: &mut M,
+    agents: &mut [A],
+    probe: &mut P,
+    stop_when: StopWhen,
+    engine: Engine,
+    max_cycles: Cycle,
+) -> DriveOutcome
+where
+    M: BusModel,
+    P: Probe<M::Completion>,
+    A: DerefMut<Target = T>,
+    T: SimAgent<M, M::Completion> + ?Sized,
+{
+    let events = engine == Engine::Events;
+    // Inert agents (permanently-done no-ops, e.g. idle cores) are
+    // dropped from the per-cycle loop up front: their tick/absorb
+    // are no-ops and their sleep horizon is unbounded by contract.
+    let active: Vec<usize> = (0..agents.len())
+        .filter(|&i| !agents[i].is_inert())
+        .collect();
+    // Whether the run can fast-forward at all is decided here, once: the
+    // model and every active agent must be closed.
+    let mut limit_cycle = (events && !P::ACTIVE)
+        .then(LimitCycle::default)
+        .and_then(|mut lc| lc.capture(0, model, agents, &active).then_some(lc));
+    // A fast-forward may land on any cycle before the one that fires a
+    // horizon stop (h - 1 must execute live) and before `max_cycles`.
+    let ff_limit = match stop_when {
+        StopWhen::Horizon(h) => h.saturating_sub(2),
+        _ => Cycle::MAX,
+    }
+    .min(max_cycles.saturating_sub(1));
+    let mut now: Cycle = 0;
+    let mut prev: Option<Cycle> = None;
+    let mut stopped = false;
+    while now < max_cycles {
+        let completed = model.begin_cycle(now);
+        if P::ACTIVE {
+            if let Some(c) = &completed {
+                probe.on_completion(now, c);
+            }
+        }
+        // Replay per-cycle accounting for the cycles the fast path
+        // skipped since the last executed cycle.
+        if let Some(prev) = prev {
+            let skipped = now - prev - 1;
+            if skipped > 0 {
+                for &i in &active {
+                    agents[i].absorb_skipped(skipped);
+                }
+            }
+        }
+        prev = Some(now);
+        // The tick verdicts carry each agent's sleep horizon (the
+        // trait contract: the verdict mirrors `wake_at`, which
+        // depends only on the agent's own state), so one pass both
+        // ticks and aggregates — no second virtual-dispatch sweep.
+        let mut agent_stop = false;
+        let mut until = Cycle::MAX;
+        let mut can_sleep = true;
+        for &i in &active {
+            match agents[i].tick(now, completed.as_ref(), model) {
+                Control::Stop => agent_stop = true,
+                Control::Continue => can_sleep = false,
+                Control::Sleep(t) => until = until.min(t),
+            }
+        }
+        let granted = model.end_cycle(now);
+        if P::ACTIVE {
+            if let Some(core) = granted {
+                probe.on_grant(now, core);
+            }
+            model.drain_events(&mut |event| forward_event(probe, event));
+        }
+        let stop = agent_stop
+            || match stop_when {
+                StopWhen::AgentDone(i) => agents[i].is_done(),
+                // Inert agents are done by contract: checking the
+                // active set is equivalent.
+                StopWhen::AllAgentsDone => active.iter().all(|&i| agents[i].is_done()),
+                StopWhen::Horizon(h) => now + 1 >= h,
+            };
+        if stop {
+            now += 1;
+            stopped = true;
+            break;
+        }
+        if let (Some(lc), Some(core)) = (&mut limit_cycle, granted) {
+            if *lc.core.get_or_insert(core) == core {
+                if let Some(span) = lc.sample(now, ff_limit, model, agents, &active) {
+                    now += span;
+                    prev = Some(now);
+                    // The pre-jump sleep horizons are stale; an agent
+                    // without one (`None`) forbids skipping.
+                    until = active
+                        .iter()
+                        .map(|&i| agents[i].wake_at().unwrap_or(0))
+                        .fold(Cycle::MAX, Cycle::min);
+                }
+            }
+        }
+        if events {
+            if let StopWhen::Horizon(h) = stop_when {
+                // The stop fires from the tick at cycle h - 1; never
+                // skip it.
+                until = until.min(h - 1);
+            }
+            if can_sleep && until > now + 1 {
+                if let Some(event) = model.next_event(now) {
+                    let jump = event.min(until).min(max_cycles);
+                    if jump > now + 1 {
+                        model.advance(now, jump);
+                        now = jump;
+                        continue;
+                    }
+                }
+            }
+        }
+        now += 1;
+    }
+    // A run that hits max_cycles mid-skip ends without another tick;
+    // absorb the tail so agent statistics stay bit-identical to the
+    // per-cycle loop.
+    if let Some(prev) = prev {
+        let tail = (now - 1).saturating_sub(prev);
+        if tail > 0 {
+            for &i in &active {
+                agents[i].absorb_skipped(tail);
+            }
+        }
+    }
+    if P::ACTIVE {
+        // A run truncated mid-skip leaves events buffered by the
+        // final `advance` (e.g. coalesced credit flips); drain them
+        // before closing the stream.
+        model.drain_events(&mut |event| forward_event(probe, event));
+        probe.on_finish(now);
+    }
+    DriveOutcome {
+        cycles: now,
+        stopped,
+    }
+}
+
+/// Cap on the limit-cycle signature table: a run whose state never recurs
+/// (e.g. priority starvation with unboundedly aging requests) would
+/// otherwise grow one entry per sample.
+const MAX_SIGNATURES: usize = 4096;
+
+/// The events engine's limit-cycle detector: recorded run signatures
+/// (each active agent's state, then the model's, all relative to the
+/// sampling cycle) with the cycle and the counter values at which each
+/// was seen.
+#[derive(Default)]
+struct LimitCycle {
+    /// The core whose grants are the sampling instants: the first core
+    /// granted in the run. Sampling one core's grants sees every limit
+    /// cycle at a fraction of the cost of sampling every grant.
+    core: Option<CoreId>,
+    table: HashMap<Vec<u64>, (Cycle, Vec<u64>)>,
+    state: Vec<u64>,
+    counters: Vec<(u64, u64)>,
+    /// Start offset in `counters` of each active agent's counters, then
+    /// of the model's (which run to the end).
+    ends: Vec<usize>,
+}
+
+impl LimitCycle {
+    /// Captures the run's signature after executed cycle `now`; `false`
+    /// if a participant is not closed at the moment.
+    fn capture<M: BusModel, A: DerefMut<Target = T>, T: SimAgent<M, M::Completion> + ?Sized>(
+        &mut self,
+        now: Cycle,
+        model: &M,
+        agents: &[A],
+        active: &[usize],
+    ) -> bool {
+        self.state.clear();
+        self.counters.clear();
+        self.ends.clear();
+        self.ends.push(0);
+        // Agents first: an open agent (the usual case) settles the
+        // verdict before the model does any work.
+        for &i in active {
+            let start = self.state.len();
+            if !agents[i].signature(now, &mut self.state, &mut self.counters) {
+                return false;
+            }
+            // Delimit each agent's part so two runs cannot collide by
+            // splitting the same words differently between agents.
+            self.state.push((self.state.len() - start) as u64);
+            self.ends.push(self.counters.len());
+        }
+        model.signature(now, &mut self.state, &mut self.counters)
+    }
+
+    /// One sampling instant: records the run's signature or, when it
+    /// recurs, fast-forwards as many whole periods as fit before `limit`
+    /// and below every counter's ceiling. Returns the cycles skipped.
+    #[inline(never)]
+    fn sample<M: BusModel, A: DerefMut<Target = T>, T: SimAgent<M, M::Completion> + ?Sized>(
+        &mut self,
+        now: Cycle,
+        limit: Cycle,
+        model: &mut M,
+        agents: &mut [A],
+        active: &[usize],
+    ) -> Option<Cycle> {
+        if !self.capture(now, model, agents, active) {
+            return None;
+        }
+        let Some((at, seen)) = self.table.get(self.state.as_slice()) else {
+            if self.table.len() >= MAX_SIGNATURES {
+                self.table.clear();
+            }
+            let values = self.counters.iter().map(|&(value, _)| value).collect();
+            self.table.insert(self.state.clone(), (now, values));
+            return None;
+        };
+        let period = now - at;
+        let deltas: Vec<u64> = self
+            .counters
+            .iter()
+            .zip(seen)
+            .map(|(&(value, _), &old)| value - old)
+            .collect();
+        let headroom = self.counters.iter().zip(&deltas);
+        let periods = headroom
+            .filter_map(|(&(value, ceiling), &delta)| {
+                ceiling.saturating_sub(value).checked_div(delta)
+            })
+            .fold(limit.saturating_sub(now) / period, u64::min);
+        if periods == 0 {
+            return None;
+        }
+        let span = periods * period;
+        for (k, &i) in active.iter().enumerate() {
+            agents[i].shift(periods, span, &deltas[self.ends[k]..self.ends[k + 1]]);
+        }
+        model.shift(periods, span, &deltas[self.ends[active.len()]..]);
+        // The recorded signatures belong to the pre-jump timeline.
+        self.table.clear();
+        Some(span)
     }
 }
 
@@ -408,8 +565,16 @@ impl<M: BusModel, P: Probe<M::Completion>> SimulationBuilder<M, P> {
     ///
     /// # Panics
     ///
-    /// Panics if no model was set.
+    /// Panics if no model was set, or if the stop condition is
+    /// [`StopWhen::AgentDone`] with an index past the last agent.
     pub fn build(self) -> Simulation<M, P> {
+        if let StopWhen::AgentDone(i) = self.stop {
+            let n = self.agents.len();
+            assert!(
+                i < n,
+                "StopWhen::AgentDone({i}) names no agent: the simulation has {n} agent(s)"
+            );
+        }
         Simulation {
             model: self.model.expect("Simulation::builder needs a model"),
             agents: self.agents,
@@ -435,83 +600,9 @@ impl<M: BusModel, P: Probe<M::Completion>> SimulationBuilder<M, P> {
 mod tests {
     use super::*;
     use crate::agent::Idle;
+    use crate::engine::tests::OneShot;
     use crate::rng::SimRng;
-    use crate::trace::GrantTrace;
     use crate::CoreId;
-
-    /// The OneShot toy model from the engine tests, duplicated here to
-    /// keep the modules independent.
-    #[derive(Debug)]
-    struct OneShot {
-        trace: GrantTrace,
-        pending: Option<u32>,
-        busy_until: Option<Cycle>,
-        skipped: u64,
-    }
-
-    impl OneShot {
-        fn new() -> Self {
-            OneShot {
-                trace: GrantTrace::counting(1),
-                pending: None,
-                busy_until: None,
-                skipped: 0,
-            }
-        }
-    }
-
-    impl BusModel for OneShot {
-        type Request = u32;
-        type Completion = Cycle;
-        type Error = &'static str;
-
-        fn begin_cycle(&mut self, now: Cycle) -> Option<Cycle> {
-            if self.busy_until == Some(now) {
-                self.busy_until = None;
-                return Some(now);
-            }
-            None
-        }
-
-        fn post(&mut self, req: u32) -> Result<(), &'static str> {
-            if self.pending.is_some() {
-                return Err("already pending");
-            }
-            self.pending = Some(req);
-            Ok(())
-        }
-
-        fn end_cycle(&mut self, now: Cycle) -> Option<CoreId> {
-            if self.busy_until.is_none() {
-                if let Some(dur) = self.pending.take() {
-                    self.busy_until = Some(now + dur as Cycle);
-                    self.trace.record(now, CoreId::from_index(0), dur);
-                    return Some(CoreId::from_index(0));
-                }
-            }
-            None
-        }
-
-        fn owner(&self) -> Option<CoreId> {
-            self.busy_until.map(|_| CoreId::from_index(0))
-        }
-
-        fn trace(&self) -> &GrantTrace {
-            &self.trace
-        }
-
-        fn next_event(&mut self, now: Cycle) -> Option<Cycle> {
-            match (self.busy_until, self.pending) {
-                (Some(ends_at), _) => Some(ends_at),
-                (None, Some(_)) => Some(now + 1),
-                (None, None) => Some(Cycle::MAX),
-            }
-        }
-
-        fn advance(&mut self, from: Cycle, to: Cycle) {
-            self.skipped += to - from - 1;
-        }
-    }
 
     /// Posts `n` 7-cycle requests, one per 20-cycle period.
     struct Periodic {
@@ -676,6 +767,18 @@ mod tests {
         assert_eq!(probe.completions, 5);
         assert_eq!(probe.finish, sim.outcome().map(|o| o.cycles));
         assert_eq!(sim.model().trace().total_slots(), 5);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "StopWhen::AgentDone(1) names no agent: the simulation has 1 agent(s)"
+    )]
+    fn agent_done_past_the_last_agent_is_rejected_at_build() {
+        let _ = Simulation::builder()
+            .model(OneShot::new())
+            .agent(Periodic::new(2))
+            .stop(StopWhen::AgentDone(1))
+            .build();
     }
 
     #[test]

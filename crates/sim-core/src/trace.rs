@@ -120,6 +120,37 @@ impl GrantTrace {
         self.last_end = 0;
     }
 
+    /// Appends the per-core slot and busy-cycle totals to `counters`, as
+    /// the uncapped `(value, ceiling)` pairs of the
+    /// [`BusModel::signature`](crate::BusModel::signature) hook.
+    pub fn push_counters(&self, counters: &mut Vec<(u64, u64)>) {
+        let totals = self.slots.iter().chain(&self.busy_cycles);
+        counters.extend(totals.map(|&v| (v, u64::MAX)));
+    }
+
+    /// Credits `periods` more repetitions of a periodic grant pattern
+    /// ending `span` cycles later (the
+    /// [`BusModel::shift`](crate::BusModel::shift) hook): each total grows
+    /// by `periods ×` its per-period growth in `deltas`, laid out as
+    /// [`push_counters`](GrantTrace::push_counters) wrote them, and the
+    /// latest grant end moves by `span`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a recording trace, whose individual grants cannot be
+    /// extrapolated.
+    pub fn shift(&mut self, periods: u64, span: Cycle, deltas: &[u64]) {
+        assert!(
+            self.records.is_none(),
+            "a recording trace cannot be shifted"
+        );
+        let totals = self.slots.iter_mut().chain(&mut self.busy_cycles);
+        for (total, &delta) in totals.zip(deltas) {
+            *total += periods * delta;
+        }
+        self.last_end += span;
+    }
+
     /// Grants issued to `core`.
     pub fn slots(&self, core: CoreId) -> u64 {
         self.slots[core.index()]

@@ -212,7 +212,7 @@ fn parse_errors_carry_line_numbers() {
 #[test]
 fn control_scenario_with_every_section_parses() {
     let text = "[campaign]\nname = ok\nruns = 2\nseed = 7\n\
-                [platform]\ncores = 4\npolicy = rr\ncba = homog\nengine = fluid\n\
+                [platform]\ncores = 4\npolicy = rr\ncba = homog\nengine = naive\n\
                 [memory]\nworking_set = 1024\nshare_frac = 0.5\n\
                 [tua]\nload = fixed:20:6:4\n\
                 [contenders]\nscenario = con\nstop = tua\n\
