@@ -23,9 +23,9 @@
 use cba_platform::checkpoint::FaultPlan;
 use cba_platform::report::{run_scenario_controlled, CellReport, RunControls, ScenarioReport};
 use cba_platform::scenario::{
-    parse_cba_spec, parse_engine, parse_load_spec, parse_policy, ScenarioDef,
+    parse_cba_spec, parse_engine, parse_load_spec, parse_policy, section_key_names, ScenarioDef,
 };
-use cba_platform::{Campaign, CoreLoad, DriveMode, PlatformConfig, RunSpec, Scenario};
+use cba_platform::{Campaign, CoreLoad, PlatformConfig, RunSpec, Scenario};
 use std::path::Path;
 
 const USAGE: &str = "\
@@ -59,47 +59,43 @@ load SPEC entries (comma-separated, first entry = core 0, the TuA):
     per:DUR:PERIOD:PHASE   periodic contender
     stream:ACCESSES        streaming loads
     idle                   nothing
+";
 
-scenario-file format (see scenarios/README.md for the commented example):
-    # '#' starts a comment; keys live under [section] headers
-    [campaign]    name, runs, seed, threads (0 = auto)
-    [platform]    cores, policy, cba (none|homog|hcba|w:3:1:1:1),
-                  caps (2:1:1:1), lfsr (on|off)
-    [topology]    hierarchical fabric instead of the flat bus: clusters,
-                  cores_per_cluster (core count is derived), bridge_latency,
-                  bridge_depth, cluster_policy, cluster_cba,
-                  backbone_policy, backbone_cba (per-cluster weights)
-    [tua]         load = SPEC, or profile = NAME plus knob overrides:
-                  accesses, working_set, p_random, p_store, p_atomic,
-                  p_ifetch, burst = LO:HI, gap = LO:HI, between = MEAN
-    [contenders]  scenario (iso|con), loads = SPEC,..., fill = SPEC,
-                  duration = D (con contender duration, default MaxL),
-                  wcet (auto|on|off), stop (tua|all|horizon:N),
-                  max_cycles, trace (on|off)
-    [sweep]       each key is one grid axis, values comma-separated;
-                  the cross-product runs as one campaign batch. Keys:
-                  bench, setup (rp|cba|hcba|POLICY[+CBA]), scenario,
-                  cores, policy, cba, weights (3:1:1:1), caps, duration,
-                  tua, fill, clusters, bridge_latency, bridge_depth,
-                  cluster_cba, backbone_cba, and the [tua] profile knobs
-    [report]      baseline = axis=value,... (normalize each group to the
-                  matching cell, like Fig. 1's RP-ISO), percentiles = 50,95,99,
-                  pwcet = 1e-9,1e-12 (per-run exceedance probabilities:
-                  Gumbel pWCET bounds, fit parameters and iid-verdict columns)
-    [checkpoint]  dir (journal directory; --checkpoint overrides it),
-                  cell_budget_ms (wall-clock budget per cell — runs past
-                  it are skipped and counted; non-deterministic),
-                  run_budget_cycles (deterministic per-run cycle cap)
-
+const EXAMPLES: &str = "\
 examples:
     cba_sim --scenario-file scenarios/paper_fig1.scn --runs 50 --out /tmp/fig1.json
     cba_sim --bench matrix --scenario con --cba homog --runs 100
     cba_sim --loads fixed:1000:6:4,sat:28,sat:28,sat:28 --policy rr
 ";
 
+/// The usage text. Its scenario-file part lists every key per section
+/// straight from the scenario format's key table.
+fn usage_text() -> String {
+    let mut text = format!(
+        "{USAGE}\nscenario-file keys by [section] ('#' starts a comment; each [sweep] key\n\
+         is one grid axis, values comma-separated; scenarios/README.md explains\n\
+         every key in one commented example):\n"
+    );
+    for (section, keys) in section_key_names() {
+        let mut line = format!("    {:<14}", format!("[{section}]"));
+        for (i, key) in keys.iter().enumerate() {
+            let sep = if i + 1 < keys.len() { "," } else { "" };
+            if line.len() + key.len() + sep.len() > 78 {
+                text.push_str(line.trim_end());
+                text.push('\n');
+                line = " ".repeat(18);
+            }
+            line.push_str(&format!("{key}{sep} "));
+        }
+        text.push_str(line.trim_end());
+        text.push('\n');
+    }
+    text + "\n" + EXAMPLES
+}
+
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}\n");
-    eprintln!("{USAGE}");
+    eprintln!("{}", usage_text());
     std::process::exit(2)
 }
 
@@ -119,14 +115,13 @@ fn main() {
     let mut loads: Option<String> = None;
     let mut scenario: Option<String> = None;
     let mut wcet = false;
-    let mut runs: Option<usize> = None;
-    let mut seed: Option<u64> = None;
+    // `(section, key, value)` lines applied on top of the scenario (or,
+    // in flag mode, of the defaults) through the scenario format's setters.
+    let mut overrides: Vec<(&str, &str, String)> = Vec::new();
     let mut cores: Option<usize> = None;
     let mut scenario_file: Option<String> = None;
     let mut out: Option<String> = None;
     let mut format: Option<String> = None;
-    let mut threads: Option<usize> = None;
-    let mut engine: Option<String> = None;
     let mut checkpoint: Option<String> = None;
     let mut resume = false;
 
@@ -147,22 +142,9 @@ fn main() {
             "--out" => out = Some(val("--out")),
             "--format" => format = Some(val("--format")),
             "--wcet" => wcet = true,
-            "--runs" => {
-                let n: usize = val("--runs")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --runs"));
-                if n == 0 {
-                    usage("--runs must be positive");
-                }
-                runs = Some(n)
-            }
-            "--seed" => {
-                seed = Some(
-                    val("--seed")
-                        .parse()
-                        .unwrap_or_else(|_| usage("bad --seed")),
-                )
-            }
+            // --threads 0 = auto, like the file's `threads` key.
+            "--runs" | "--seed" | "--threads" => overrides.push(("campaign", &arg[2..], val(arg))),
+            "--engine" => overrides.push(("platform", "engine", val(arg))),
             "--cores" => {
                 cores = Some(
                     val("--cores")
@@ -170,24 +152,22 @@ fn main() {
                         .unwrap_or_else(|_| usage("bad --cores")),
                 )
             }
-            "--threads" => {
-                // 0 = auto, matching the scenario-file `threads` key.
-                threads = Some(
-                    val("--threads")
-                        .parse()
-                        .unwrap_or_else(|_| usage("bad --threads")),
-                )
-            }
-            "--engine" => engine = Some(val("--engine")),
             "--checkpoint" => checkpoint = Some(val("--checkpoint")),
             "--resume" => resume = true,
             "--help" | "-h" => {
-                println!("{USAGE}");
+                println!("{}", usage_text());
                 std::process::exit(0)
             }
             other => usage(&format!("unknown flag '{other}'")),
         }
     }
+
+    let apply_overrides = |def: &mut ScenarioDef| {
+        for (section, key, value) in &overrides {
+            def.set(section, key, value)
+                .unwrap_or_else(|e| usage(&format!("--{key}: {e}")));
+        }
+    };
 
     // Resolve the export format BEFORE running anything: a typo must not
     // discard a long campaign.
@@ -242,16 +222,23 @@ fn main() {
             if !ignored.is_empty() {
                 usage(&format!(
                     "{} cannot be combined with --scenario-file (set the equivalent keys \
-                     in the file; only --runs/--seed/--threads override it)",
+                     in the file; only --runs/--seed/--threads/--engine override it)",
                     ignored.join(", ")
                 ));
             }
-            run_scenario_file(&path, runs, seed, threads, engine, checkpoint, resume)
+            let text = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
+            let mut def =
+                ScenarioDef::parse(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+            apply_overrides(&mut def);
+            run_scenario_file(&path, &def, checkpoint, resume)
         }
         None => {
             if checkpoint.is_some() || resume {
                 usage("--checkpoint/--resume require --scenario-file (flag mode has one cell)");
             }
+            let mut campaign = ScenarioDef::default();
+            apply_overrides(&mut campaign);
             run_flag_mode(
                 policy.as_deref().unwrap_or("rp"),
                 cba.as_deref().unwrap_or("none"),
@@ -259,11 +246,8 @@ fn main() {
                 &loads,
                 scenario.as_deref().unwrap_or("con"),
                 wcet,
-                runs,
-                seed,
                 cores.unwrap_or(4),
-                threads,
-                engine,
+                &campaign,
             )
         }
     };
@@ -299,33 +283,13 @@ fn quiet_worker_panics() {
     }));
 }
 
-/// Scenario-file mode: parse, apply CLI overrides, run every cell.
+/// Scenario-file mode: run every cell of the (overridden) scenario.
 fn run_scenario_file(
     path: &str,
-    runs: Option<usize>,
-    seed: Option<u64>,
-    threads: Option<usize>,
-    engine: Option<String>,
+    def: &ScenarioDef,
     checkpoint: Option<String>,
     resume: bool,
 ) -> ScenarioReport {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-    let mut def = ScenarioDef::parse(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-    if let Some(r) = runs {
-        def.runs = r;
-    }
-    if let Some(s) = seed {
-        def.seed = s;
-    }
-    if let Some(t) = threads {
-        // 0 = auto, like the file's `threads` key.
-        def.threads = if t == 0 { None } else { Some(t) };
-    }
-    if let Some(e) = engine {
-        parse_engine(&e).unwrap_or_else(|e| usage(&e));
-        def.template.engine = e;
-    }
     if resume && checkpoint.is_none() && def.checkpoint.dir.is_none() {
         usage("--resume needs --checkpoint DIR (or a [checkpoint] dir key in the scenario)");
     }
@@ -355,7 +319,7 @@ fn run_scenario_file(
         resume,
         faults: faults.as_ref(),
     };
-    run_scenario_controlled(&def, &controls, |done, total, cell| {
+    run_scenario_controlled(def, &controls, |done, total, cell| {
         let label: Vec<&str> = cell.labels.iter().map(|(_, v)| v.as_str()).collect();
         eprintln!(
             "cba-sim: [{done}/{total}] {} mean {:.1} cycles",
@@ -368,6 +332,7 @@ fn run_scenario_file(
 
 /// Flag mode: one ad-hoc cell from command-line flags, reported in the
 /// same structure as a one-cell scenario so `--out` works identically.
+/// `campaign` carries the runs, seed, threads and engine.
 #[allow(clippy::too_many_arguments)]
 fn run_flag_mode(
     policy: &str,
@@ -376,17 +341,11 @@ fn run_flag_mode(
     loads: &Option<String>,
     scenario: &str,
     wcet: bool,
-    runs: Option<usize>,
-    seed: Option<u64>,
     cores: usize,
-    threads: Option<usize>,
-    engine: Option<String>,
+    campaign: &ScenarioDef,
 ) -> ScenarioReport {
-    let runs = runs.unwrap_or(30);
-    let seed = seed.unwrap_or(2017);
-    let drive = engine
-        .map(|e| parse_engine(&e).unwrap_or_else(|e| usage(&e)))
-        .unwrap_or(DriveMode::Events);
+    let (runs, seed) = (campaign.runs, campaign.seed);
+    let drive = parse_engine(&campaign.template.engine).unwrap_or_else(|e| usage(&e));
     let policy_kind = parse_policy(policy).unwrap_or_else(|e| usage(&e));
     let setup = cba_platform::BusSetup::Custom {
         policy: policy_kind,
@@ -436,14 +395,11 @@ fn run_flag_mode(
             .unwrap_or("none"),
         runs
     );
-    let mut campaign = Campaign::new(spec.clone(), runs, seed);
-    if let Some(t) = threads {
-        if t > 0 {
-            // 0 = auto: keep the campaign's own thread heuristic.
-            campaign = campaign.with_threads(t);
-        }
+    let mut runner = Campaign::new(spec.clone(), runs, seed);
+    if let Some(t) = campaign.threads {
+        runner = runner.with_threads(t);
     }
-    let result = campaign.run();
+    let result = runner.run();
     // Bus-side view of the first run.
     let first = &result.results()[0];
     eprintln!(

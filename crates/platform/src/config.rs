@@ -33,9 +33,10 @@ pub struct FabricTopology {
 }
 
 impl FabricTopology {
-    /// Total core count (`clusters * cores_per_cluster`).
-    pub fn n_cores(&self) -> usize {
-        self.clusters * self.cores_per_cluster
+    /// Total core count (`clusters * cores_per_cluster`), or `None` when
+    /// the product overflows.
+    pub fn n_cores(&self) -> Option<usize> {
+        self.clusters.checked_mul(self.cores_per_cluster)
     }
 }
 

@@ -392,7 +392,7 @@ impl RunSpec {
             if topo.clusters == 0 || topo.cores_per_cluster == 0 {
                 return Err("topology needs at least one cluster and one core each".into());
             }
-            if topo.n_cores() != self.platform.n_cores {
+            if topo.n_cores() != Some(self.platform.n_cores) {
                 return Err(format!(
                     "topology has {} x {} cores but the platform declares {}",
                     topo.clusters, topo.cores_per_cluster, self.platform.n_cores

@@ -13,8 +13,17 @@
 //!   materialized by [`ScenarioDef::expand`] into [`Cell`]s, each with a
 //!   stable per-cell seed derived from the master seed and the axis
 //!   indices;
-//! * [`crate::report::run_scenario`] executes the cells as Monte-Carlo
-//!   [`Campaign`](crate::Campaign)s and aggregates the results.
+//! * [`crate::report::run_scenario`] runs every (cell, run) task on one
+//!   shared executor pool and aggregates the per-cell reports.
+//!
+//! Every key of the format is one entry of a single key table: its
+//! section and name, its sweep-axis name if it can be swept, one setter
+//! that parses, checks and stores a value, and one renderer of its
+//! canonical line. Parsing, [`ScenarioDef::render`] (and so the journal
+//! key [`ScenarioDef::scenario_hash`]), sweep axes, unknown-key messages
+//! and [`section_key_names`] all read that table, so a swept value goes
+//! through the same setter as a file line. Only `[sweep]` itself and the
+//! axis-only shorthands `setup` and `weights` are dedicated code.
 //!
 //! The format is deliberately not TOML/YAML/JSON: the workspace builds
 //! offline with zero external crates (the same constraint that motivated
@@ -54,9 +63,11 @@ use crate::config::{FabricTopology, PlatformConfig};
 use crate::platform::{CoreLoad, DriveMode, RunSpec, Scenario, StopCondition};
 use cba::CreditConfig;
 use cba_bus::PolicyKind;
+use cba_mem::coherence::SHARED_LINE_BYTES;
 use cba_mem::{HierarchyConfig, LatencyModel, MemoryConfig};
 use cba_workloads::{profile_by_name, EembcProfile};
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::str::FromStr;
 
 /// A parse, expansion or execution error, with the scenario-file line
 /// number when one is known.
@@ -281,7 +292,7 @@ impl AxisValue {
 /// One sweep axis: a key and the values it takes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Axis {
-    /// Sweep key (see [`SWEEP_KEYS`]).
+    /// Sweep key (the `[sweep]` entry of [`section_key_names`]).
     pub key: String,
     /// The axis values, in declaration order.
     pub values: Vec<AxisValue>,
@@ -402,39 +413,6 @@ impl Cell {
     }
 }
 
-/// The sweepable axis keys, in documentation order.
-pub const SWEEP_KEYS: &[&str] = &[
-    "bench",
-    "setup",
-    "scenario",
-    "cores",
-    "policy",
-    "cba",
-    "weights",
-    "caps",
-    "duration",
-    "tua",
-    "fill",
-    "clusters",
-    "bridge_latency",
-    "bridge_depth",
-    "cluster_cba",
-    "backbone_cba",
-    "mem_working_set",
-    "share_frac",
-    "write_frac",
-    "l1_sets",
-    "accesses",
-    "working_set",
-    "p_random",
-    "p_store",
-    "p_atomic",
-    "p_ifetch",
-    "burst",
-    "gap",
-    "between",
-];
-
 impl Default for ScenarioDef {
     fn default() -> Self {
         ScenarioDef {
@@ -450,6 +428,570 @@ impl Default for ScenarioDef {
     }
 }
 
+/// How a key's value is stored. A setter gets the key name, for its
+/// messages, and the value text.
+#[derive(Clone, Copy)]
+enum Set {
+    /// A campaign-wide key of the [`ScenarioDef`]; never swept.
+    Def(fn(&mut ScenarioDef, &str, &str) -> Result<(), String>),
+    /// A per-cell [`Template`] key.
+    Tpl(fn(&mut Template, &str, &str) -> Result<(), String>),
+    /// A `[tua]` profile knob: applied to the TuA's profile (see
+    /// [`set_knob`]).
+    Knob(KnobFn),
+}
+
+type KnobFn = fn(&mut EembcProfile, &str, &str) -> Result<(), String>;
+use Set::{Def, Knob, Tpl};
+
+/// One `.scn` key: the single place that says what it is and means.
+struct Key {
+    /// `(section, key name, sweep-axis name)`; the axis is `None` for a
+    /// key that cannot be swept.
+    at: (&'static str, &'static str, Option<&'static str>),
+    /// Parses, checks and stores a value. A file line and a swept value
+    /// go through the same setter.
+    set: Set,
+    /// Writes the key's canonical `key = value` line, or nothing when the
+    /// value is unset (knob lines are written by `profile`, in file order).
+    render: fn(&ScenarioDef, &str, &mut String),
+}
+
+impl Key {
+    /// Stores a value of a per-cell key on `t`.
+    fn set_cell(&self, t: &mut Template, value: &str) -> Result<(), String> {
+        match self.set {
+            Def(_) => unreachable!("campaign-wide keys have no template field"),
+            Tpl(set) => set(t, self.at.1, value),
+            Knob(apply) => set_knob(t, self.at.1, value, apply),
+        }
+    }
+}
+
+/// The sections, in canonical render order.
+const SECTIONS: [&str; 9] = [
+    "campaign",
+    "platform",
+    "topology",
+    "memory",
+    "tua",
+    "contenders",
+    "sweep",
+    "report",
+    "checkpoint",
+];
+
+/// The key table: every `.scn` key once, grouped by section in
+/// [`SECTIONS`] order and in canonical render order within a section.
+/// `[sweep]` has no entries: its keys are the axis names below plus the
+/// shorthands `setup` and `weights`.
+static KEYS: &[Key] = &[
+    Key {
+        at: ("campaign", "name", None),
+        set: Def(|d, _, v| text(v).map(|s| d.name = s)),
+        render: |d, k, o| put(o, k, Some(&d.name)),
+    },
+    Key {
+        at: ("campaign", "runs", None),
+        set: Def(|d, k, v| positive(v, k).map(|n| d.runs = n)),
+        render: |d, k, o| put(o, k, Some(d.runs)),
+    },
+    Key {
+        at: ("campaign", "seed", None),
+        set: Def(|d, k, v| num(v, k).map(|n| d.seed = n)),
+        render: |d, k, o| put(o, k, Some(d.seed)),
+    },
+    Key {
+        // 0 = auto.
+        at: ("campaign", "threads", None),
+        set: Def(|d, k, v| num(v, k).map(|n: usize| d.threads = (n > 0).then_some(n))),
+        render: |d, k, o| put(o, k, Some(d.threads.unwrap_or(0))),
+    },
+    Key {
+        at: ("platform", "cores", Some("cores")),
+        set: Tpl(|t, k, v| num(v, k).map(|n| t.cores = n)),
+        render: |d, k, o| put(o, k, Some(d.template.cores)),
+    },
+    Key {
+        at: ("platform", "policy", Some("policy")),
+        set: Tpl(|t, _, v| parse_policy(v).map(|_| t.policy = v.into())),
+        render: |d, k, o| put(o, k, Some(&d.template.policy)),
+    },
+    Key {
+        at: ("platform", "cba", Some("cba")),
+        set: Tpl(|t, _, v| text(v).map(|s| t.cba = s)),
+        render: |d, k, o| put(o, k, Some(&d.template.cba)),
+    },
+    Key {
+        at: ("platform", "caps", Some("caps")),
+        set: Tpl(|t, _, v| text(v).map(|s| t.caps = Some(s))),
+        render: |d, k, o| put(o, k, d.template.caps.as_ref()),
+    },
+    Key {
+        at: ("platform", "lfsr", None),
+        set: Tpl(|t, k, v| switch(v, k).map(|b| t.lfsr = b)),
+        render: |d, k, o| put(o, k, Some(on_off(d.template.lfsr))),
+    },
+    Key {
+        at: ("platform", "engine", None),
+        set: Tpl(|t, _, v| parse_engine(v).map(|_| t.engine = v.into())),
+        render: |d, k, o| put(o, k, Some(&d.template.engine)),
+    },
+    Key {
+        at: ("topology", "clusters", Some("clusters")),
+        set: Tpl(|t, k, v| positive(v, k).map(|n| topo(t).clusters = n)),
+        render: |d, k, o| put(o, k, topo_of(d).map(|x| x.clusters)),
+    },
+    Key {
+        at: ("topology", "cores_per_cluster", None),
+        set: Tpl(|t, k, v| positive(v, k).map(|n| topo(t).cores_per_cluster = n)),
+        render: |d, k, o| put(o, k, topo_of(d).map(|x| x.cores_per_cluster)),
+    },
+    Key {
+        at: ("topology", "bridge_latency", Some("bridge_latency")),
+        set: Tpl(|t, k, v| nonzero(v, k, "be at least 1").map(|n| topo(t).bridge_latency = n)),
+        render: |d, k, o| put(o, k, topo_of(d).map(|x| x.bridge_latency)),
+    },
+    Key {
+        at: ("topology", "bridge_depth", Some("bridge_depth")),
+        set: Tpl(|t, k, v| nonzero(v, k, "be at least 1").map(|n| topo(t).bridge_depth = n)),
+        render: |d, k, o| put(o, k, topo_of(d).map(|x| x.bridge_depth)),
+    },
+    Key {
+        at: ("topology", "cluster_policy", None),
+        set: Tpl(|t, _, v| parse_policy(v).map(|_| topo(t).cluster_policy = Some(v.into()))),
+        render: |d, k, o| put(o, k, topo_of(d).and_then(|x| x.cluster_policy.as_ref())),
+    },
+    Key {
+        at: ("topology", "cluster_cba", Some("cluster_cba")),
+        set: Tpl(|t, _, v| text(v).map(|s| topo(t).cluster_cba = s)),
+        render: |d, k, o| put(o, k, topo_of(d).map(|x| &x.cluster_cba)),
+    },
+    Key {
+        at: ("topology", "cluster_caps", None),
+        set: Tpl(|t, _, v| text(v).map(|s| topo(t).cluster_caps = Some(s))),
+        render: |d, k, o| put(o, k, topo_of(d).and_then(|x| x.cluster_caps.as_ref())),
+    },
+    Key {
+        at: ("topology", "backbone_policy", None),
+        set: Tpl(|t, _, v| parse_policy(v).map(|_| topo(t).backbone_policy = Some(v.into()))),
+        render: |d, k, o| put(o, k, topo_of(d).and_then(|x| x.backbone_policy.as_ref())),
+    },
+    Key {
+        at: ("topology", "backbone_cba", Some("backbone_cba")),
+        set: Tpl(|t, _, v| text(v).map(|s| topo(t).backbone_cba = Some(s))),
+        render: |d, k, o| put(o, k, topo_of(d).and_then(|x| x.backbone_cba.as_ref())),
+    },
+    Key {
+        at: ("topology", "backbone_caps", None),
+        set: Tpl(|t, _, v| text(v).map(|s| topo(t).backbone_caps = Some(s))),
+        render: |d, k, o| put(o, k, topo_of(d).and_then(|x| x.backbone_caps.as_ref())),
+    },
+    Key {
+        at: ("memory", "working_set", Some("mem_working_set")),
+        set: Tpl(|t, k, v| {
+            let bytes = num(v, k)?;
+            if bytes < SHARED_LINE_BYTES {
+                return Err(format!(
+                    "{k} must be at least one {SHARED_LINE_BYTES}-byte line"
+                ));
+            }
+            mem(t).working_set = bytes;
+            Ok(())
+        }),
+        render: |d, k, o| put(o, k, mem_of(d).map(|m| m.working_set)),
+    },
+    Key {
+        at: ("memory", "accesses", None),
+        set: Tpl(|t, k, v| positive(v, k).map(|n| mem(t).accesses = n)),
+        render: |d, k, o| put(o, k, mem_of(d).map(|m| m.accesses)),
+    },
+    Key {
+        at: ("memory", "write_frac", Some("write_frac")),
+        set: Tpl(|t, k, v| frac(v, k).map(|f| mem(t).write_frac = f)),
+        render: |d, k, o| put(o, k, mem_of(d).map(|m| m.write_frac)),
+    },
+    Key {
+        at: ("memory", "share_frac", Some("share_frac")),
+        set: Tpl(|t, k, v| frac(v, k).map(|f| mem(t).share_frac = f)),
+        render: |d, k, o| put(o, k, mem_of(d).map(|m| m.share_frac)),
+    },
+    Key {
+        at: ("memory", "shared_lines", None),
+        set: Tpl(|t, k, v| positive(v, k).map(|n| mem(t).shared_lines = n)),
+        render: |d, k, o| put(o, k, mem_of(d).map(|m| m.shared_lines)),
+    },
+    Key {
+        at: ("memory", "locality", None),
+        set: Tpl(|t, k, v| frac(v, k).map(|f| mem(t).locality = f)),
+        render: |d, k, o| put(o, k, mem_of(d).map(|m| m.locality)),
+    },
+    Key {
+        at: ("memory", "think", None),
+        set: Tpl(|t, k, v| num(v, k).map(|n| mem(t).think = n)),
+        render: |d, k, o| put(o, k, mem_of(d).map(|m| m.think)),
+    },
+    Key {
+        at: ("memory", "l1_sets", Some("l1_sets")),
+        set: Tpl(|t, k, v| num(v, k).map(|n| mem(t).l1_sets = n)),
+        render: |d, k, o| put(o, k, mem_of(d).map(|m| m.l1_sets)),
+    },
+    Key {
+        at: ("memory", "l1_ways", None),
+        set: Tpl(|t, k, v| num(v, k).map(|n| mem(t).l1_ways = n)),
+        render: |d, k, o| put(o, k, mem_of(d).map(|m| m.l1_ways)),
+    },
+    Key {
+        at: ("tua", "load", Some("tua")),
+        set: Tpl(|t, _, v| parse_load_spec(v).map(|_| t.tua = TuaSpec::Load(v.into()))),
+        render: |d, k, o| {
+            if let TuaSpec::Load(spec) = &d.template.tua {
+                put(o, k, Some(spec))
+            }
+        },
+    },
+    Key {
+        at: ("tua", "profile", Some("bench")),
+        set: Tpl(|t, _, v| {
+            profile_by_name(v).ok_or_else(|| format!("unknown benchmark profile '{v}'"))?;
+            // Keep the knob overrides set so far.
+            let overrides = match &mut t.tua {
+                TuaSpec::Profile { overrides, .. } => std::mem::take(overrides),
+                _ => Vec::new(),
+            };
+            let name = v.into();
+            t.tua = TuaSpec::Profile { name, overrides };
+            Ok(())
+        }),
+        render: |d, k, o| match &d.template.tua {
+            TuaSpec::Profile { name, overrides } => {
+                put(o, k, Some(name));
+                for (knob, value) in overrides {
+                    put(o, knob, Some(value));
+                }
+            }
+            TuaSpec::Inline(profile) => put(o, k, Some(profile.name)),
+            TuaSpec::Load(_) => {}
+        },
+    },
+    Key {
+        at: ("tua", "accesses", Some("accesses")),
+        set: Knob(|p, k, v| num(v, k).map(|n| p.accesses = n)),
+        render: |_, _, _| {},
+    },
+    Key {
+        at: ("tua", "working_set", Some("working_set")),
+        set: Knob(|p, k, v| num(v, k).map(|n| p.working_set = n)),
+        render: |_, _, _| {},
+    },
+    Key {
+        at: ("tua", "p_random", Some("p_random")),
+        set: Knob(|p, k, v| num(v, k).map(|f| p.p_random = f)),
+        render: |_, _, _| {},
+    },
+    Key {
+        at: ("tua", "p_store", Some("p_store")),
+        set: Knob(|p, k, v| num(v, k).map(|f| p.p_store = f)),
+        render: |_, _, _| {},
+    },
+    Key {
+        at: ("tua", "p_atomic", Some("p_atomic")),
+        set: Knob(|p, k, v| num(v, k).map(|f| p.p_atomic = f)),
+        render: |_, _, _| {},
+    },
+    Key {
+        at: ("tua", "p_ifetch", Some("p_ifetch")),
+        set: Knob(|p, k, v| num(v, k).map(|f| p.p_ifetch = f)),
+        render: |_, _, _| {},
+    },
+    Key {
+        at: ("tua", "burst", Some("burst")),
+        set: Knob(|p, k, v| range(v, k).map(|r| p.burst_len = r)),
+        render: |_, _, _| {},
+    },
+    Key {
+        at: ("tua", "gap", Some("gap")),
+        set: Knob(|p, k, v| range(v, k).map(|r| p.within_gap = r)),
+        render: |_, _, _| {},
+    },
+    Key {
+        at: ("tua", "between", Some("between")),
+        set: Knob(|p, k, v| num(v, k).map(|f| p.between_gap_mean = f)),
+        render: |_, _, _| {},
+    },
+    Key {
+        at: ("contenders", "scenario", Some("scenario")),
+        set: Tpl(|t, _, v| {
+            t.contenders = match v.to_ascii_lowercase().as_str() {
+                "iso" => ContenderSpec::Isolation,
+                "con" => ContenderSpec::MaxContention,
+                // `loads =` may already have set the list.
+                "custom" if matches!(t.contenders, ContenderSpec::Custom(_)) => return Ok(()),
+                "custom" => ContenderSpec::Custom(Vec::new()),
+                other => {
+                    return Err(format!(
+                        "unknown scenario '{other}' (expected iso, con, custom)"
+                    ))
+                }
+            };
+            Ok(())
+        }),
+        render: |d, k, o| {
+            let scenario = match &d.template.contenders {
+                ContenderSpec::Isolation => Some("iso"),
+                ContenderSpec::MaxContention => Some("con"),
+                // A non-empty custom list is the `loads` line.
+                ContenderSpec::Custom(specs) if specs.is_empty() => Some("custom"),
+                _ => None,
+            };
+            put(o, k, scenario)
+        },
+    },
+    Key {
+        at: ("contenders", "loads", None),
+        set: Tpl(|t, _, v| {
+            let specs: Vec<String> = v.split(',').map(|s| s.trim().to_string()).collect();
+            for s in &specs {
+                parse_load_spec(s)?;
+            }
+            t.contenders = ContenderSpec::Custom(specs);
+            Ok(())
+        }),
+        render: |d, k, o| {
+            if let ContenderSpec::Custom(specs) = &d.template.contenders {
+                put(o, k, joined(specs))
+            }
+        },
+    },
+    Key {
+        at: ("contenders", "fill", Some("fill")),
+        set: Tpl(|t, _, v| {
+            parse_load_spec(v).map(|_| t.contenders = ContenderSpec::Fill(v.into()))
+        }),
+        render: |d, k, o| {
+            if let ContenderSpec::Fill(spec) = &d.template.contenders {
+                put(o, k, Some(spec))
+            }
+        },
+    },
+    Key {
+        at: ("contenders", "duration", Some("duration")),
+        set: Tpl(|t, k, v| num(v, k).map(|n| t.duration = Some(n))),
+        render: |d, k, o| put(o, k, d.template.duration),
+    },
+    Key {
+        at: ("contenders", "wcet", None),
+        set: Tpl(|t, _, v| {
+            t.wcet = match v.to_ascii_lowercase().as_str() {
+                "auto" => WcetSpec::Auto,
+                "on" | "true" => WcetSpec::On,
+                "off" | "false" => WcetSpec::Off,
+                other => {
+                    return Err(format!(
+                        "unknown wcet mode '{other}' (expected auto, on, off)"
+                    ))
+                }
+            };
+            Ok(())
+        }),
+        render: |d, k, o| {
+            let mode = match d.template.wcet {
+                WcetSpec::Auto => "auto",
+                WcetSpec::On => "on",
+                WcetSpec::Off => "off",
+            };
+            put(o, k, Some(mode))
+        },
+    },
+    Key {
+        at: ("contenders", "stop", None),
+        set: Tpl(|t, _, v| parse_stop(v).map(|_| t.stop = v.into())),
+        render: |d, k, o| put(o, k, Some(&d.template.stop)),
+    },
+    Key {
+        at: ("contenders", "max_cycles", None),
+        set: Tpl(|t, k, v| num(v, k).map(|n| t.max_cycles = n)),
+        render: |d, k, o| put(o, k, Some(d.template.max_cycles)),
+    },
+    Key {
+        at: ("contenders", "trace", None),
+        set: Tpl(|t, k, v| switch(v, k).map(|b| t.trace = b)),
+        render: |d, k, o| put(o, k, Some(on_off(d.template.trace))),
+    },
+    Key {
+        at: ("report", "windows", None),
+        set: Def(|d, k, v| positive(v, k).map(|n| d.report.windows = Some(n))),
+        render: |d, k, o| put(o, k, d.report.windows),
+    },
+    Key {
+        at: ("report", "baseline", None),
+        set: Def(|d, _, v| {
+            let pair = |p: &str| match p.split_once('=') {
+                Some((axis, value)) => Ok((axis.trim().to_string(), value.trim().to_string())),
+                None => Err(format!("baseline entry '{p}' is not 'axis=value'")),
+            };
+            list(v, pair).map(|pairs| d.report.baseline = pairs)
+        }),
+        render: |d, k, o| {
+            let pairs = d.report.baseline.iter().map(|(a, v)| format!("{a}={v}"));
+            put(o, k, joined(pairs))
+        },
+    },
+    Key {
+        at: ("report", "percentiles", None),
+        set: Def(|d, _, v| {
+            let quantile = |p: &str| match p.parse::<f64>() {
+                Ok(pct) if (0.0..=100.0).contains(&pct) => Ok(pct / 100.0),
+                Ok(pct) => Err(format!("percentile {pct} outside [0, 100]")),
+                Err(_) => Err(format!("bad percentile '{p}'")),
+            };
+            list(v, quantile).map(|qs| d.report.percentiles = qs)
+        }),
+        render: |d, k, o| {
+            let pcts = d.report.percentiles.iter().map(|q| q * 100.0);
+            put(o, k, Some(joined(pcts).unwrap_or_default()))
+        },
+    },
+    Key {
+        at: ("report", "pwcet", None),
+        set: Def(|d, _, v| {
+            let probability = |p: &str| match p.parse::<f64>() {
+                Ok(prob) if prob > 0.0 && prob < 1.0 => Ok(prob),
+                Ok(prob) => Err(format!("pwcet probability {prob} outside (0, 1)")),
+                Err(_) => Err(format!("bad pwcet probability '{p}'")),
+            };
+            list(v, probability).map(|ps| d.report.pwcet = ps)
+        }),
+        render: |d, k, o| {
+            let probabilities = d.report.pwcet.iter().map(|p| format!("{p:e}"));
+            put(o, k, joined(probabilities))
+        },
+    },
+    Key {
+        at: ("checkpoint", "dir", None),
+        set: Def(|d, _, v| text(v).map(|s| d.checkpoint.dir = Some(s))),
+        render: |d, k, o| put(o, k, d.checkpoint.dir.as_ref()),
+    },
+    Key {
+        at: ("checkpoint", "cell_budget_ms", None),
+        set: Def(|d, k, v| positive(v, k).map(|n| d.checkpoint.cell_budget_ms = Some(n))),
+        render: |d, k, o| put(o, k, d.checkpoint.cell_budget_ms),
+    },
+    Key {
+        at: ("checkpoint", "run_budget_cycles", None),
+        set: Def(|d, k, v| positive(v, k).map(|n| d.checkpoint.run_budget_cycles = Some(n))),
+        render: |d, k, o| put(o, k, d.checkpoint.run_budget_cycles),
+    },
+];
+
+/// The table entries of `section`: a contiguous run of [`KEYS`].
+fn section_keys(section: &str) -> &'static [Key] {
+    let mut runs = KEYS.chunk_by(|a, b| a.at.0 == b.at.0);
+    runs.find(|run| run[0].at.0 == section).unwrap_or_default()
+}
+
+/// Every section of the scenario format with its keys, in canonical
+/// order; `[sweep]` lists the sweepable keys.
+pub fn section_key_names() -> Vec<(&'static str, Vec<&'static str>)> {
+    let names = |s| match s {
+        "sweep" => sweep_keys(),
+        _ => section_keys(s).iter().map(|k| k.at.1).collect(),
+    };
+    SECTIONS.into_iter().map(|s| (s, names(s))).collect()
+}
+
+/// The sweepable keys: the shorthands `setup` and `weights`, then the
+/// axis name of every sweepable table key, in table order.
+fn sweep_keys() -> Vec<&'static str> {
+    let axes = KEYS.iter().filter_map(|k| k.at.2);
+    ["setup", "weights"].into_iter().chain(axes).collect()
+}
+
+fn unknown_sweep_key(key: &str) -> String {
+    let keys = sweep_keys().join(", ");
+    format!("unknown sweep key '{key}' (sweepable keys: {keys})")
+}
+
+/// How one sweep axis sets its value on a cell's template, resolved once
+/// per [`ScenarioDef::expand`].
+#[derive(Clone, Copy)]
+enum AxisOp {
+    /// `setup = rp|cba|hcba|POLICY[+CBA]`: the policy and filter together.
+    Setup,
+    /// `weights = 3:1:1:1`: shorthand for `cba = w:3:1:1:1`.
+    Weights,
+    /// A table key, through the setter its file line uses.
+    Key(&'static Key),
+}
+
+impl AxisOp {
+    fn of(axis: &str) -> Option<AxisOp> {
+        match axis {
+            "setup" => Some(AxisOp::Setup),
+            "weights" => Some(AxisOp::Weights),
+            _ => KEYS.iter().find(|k| k.at.2 == Some(axis)).map(AxisOp::Key),
+        }
+    }
+
+    /// Applies one axis value to a template clone; returns the value's
+    /// canonical label for reports and baseline matching.
+    fn apply(self, t: &mut Template, axis: &str, value: &AxisValue) -> Result<String, String> {
+        // The benchmark axis is the only one accepting explicit profiles.
+        if let AxisValue::Profile(profile) = value {
+            if axis != "bench" {
+                return Err(format!("axis '{axis}' cannot take a profile value"));
+            }
+            t.tua = TuaSpec::Inline(profile.clone());
+            return Ok(profile.name.to_string());
+        }
+        let v = value.raw();
+        let key = match self {
+            AxisOp::Setup => return apply_setup(t, v),
+            AxisOp::Weights => {
+                t.cba = format!("w:{v}");
+                return Ok(v.into());
+            }
+            AxisOp::Key(key) => key,
+        };
+        let section = key.at.0;
+        let missing = match section {
+            "topology" => t.topology.is_none(),
+            "memory" => t.memory.is_none(),
+            _ => false,
+        };
+        if missing {
+            return Err(format!(
+                "axis '{axis}' requires a [{section}] section in the scenario"
+            ));
+        }
+        key.set_cell(t, v)?;
+        Ok(match axis {
+            "scenario" => v.to_ascii_uppercase(),
+            "policy" => parse_policy(v)?.name().into(),
+            _ => v.into(),
+        })
+    }
+}
+
+/// The `setup` axis: the paper's bus setups by name, or `POLICY` /
+/// `POLICY+CBASPEC` (`rr`, `rr+homog`, `lot+w:3:1:1:1`). Returns the label.
+fn apply_setup(t: &mut Template, v: &str) -> Result<String, String> {
+    let lower = v.to_ascii_lowercase();
+    let (policy, cba, label) = match lower.as_str() {
+        "rp" => ("rp", "none", "RP"),
+        "cba" => ("rp", "homog", "CBA"),
+        "hcba" => ("rp", "hcba", "H-CBA"),
+        custom => {
+            let (policy, cba) = custom.split_once('+').unwrap_or((custom, "none"));
+            parse_policy(policy)?;
+            (policy, cba, v)
+        }
+    };
+    t.policy = policy.into();
+    t.cba = cba.into();
+    Ok(label.into())
+}
+
 impl ScenarioDef {
     /// Parses the scenario-file format.
     ///
@@ -459,438 +1001,93 @@ impl ScenarioDef {
     /// for unknown sections/keys, malformed values, or duplicate axes.
     pub fn parse(text: &str) -> Result<Self, ScenarioError> {
         let mut def = ScenarioDef::default();
-        let mut section = String::new();
+        let mut section: Option<(&str, &[Key])> = None;
         for (i, raw_line) in text.lines().enumerate() {
-            let lineno = i + 1;
+            let at = |msg: String| ScenarioError::at(i + 1, msg);
             // Strip comments ('#' to end of line) and whitespace.
-            let line = match raw_line.find('#') {
-                Some(pos) => &raw_line[..pos],
-                None => raw_line,
-            }
-            .trim();
+            let line = raw_line.split('#').next().unwrap_or_default().trim();
             if line.is_empty() {
                 continue;
             }
             if let Some(name) = line.strip_prefix('[') {
                 let name = name
                     .strip_suffix(']')
-                    .ok_or_else(|| ScenarioError::at(lineno, "unterminated section header"))?
+                    .ok_or_else(|| at("unterminated section header".into()))?
                     .trim()
                     .to_ascii_lowercase();
-                match name.as_str() {
-                    "campaign" | "platform" | "tua" | "contenders" | "sweep" | "report"
-                    | "checkpoint" => {
-                        section = name;
-                    }
-                    "topology" => {
-                        def.template.topology.get_or_insert_with(Default::default);
-                        section = name;
-                    }
-                    "memory" => {
-                        def.template.memory.get_or_insert_with(Default::default);
-                        section = name;
-                    }
-                    other => {
-                        return Err(ScenarioError::at(
-                            lineno,
-                            format!(
-                                "unknown section '[{other}]' (expected [campaign], [platform], \
-                                 [topology], [memory], [tua], [contenders], [sweep], [report] or \
-                                 [checkpoint])"
-                            ),
-                        ))
-                    }
+                let s = SECTIONS.into_iter().find(|s| *s == name).ok_or_else(|| {
+                    let (last, rest) = SECTIONS.split_last().expect("sections exist");
+                    let rest: Vec<String> = rest.iter().map(|s| format!("[{s}]")).collect();
+                    at(format!(
+                        "unknown section '[{name}]' (expected {} or [{last}])",
+                        rest.join(", ")
+                    ))
+                })?;
+                // An empty [topology] or [memory] section still declares it.
+                match s {
+                    "topology" => _ = topo(&mut def.template),
+                    "memory" => _ = mem(&mut def.template),
+                    _ => {}
                 }
+                section = Some((s, section_keys(s)));
                 continue;
             }
-            let (key, value) = line.split_once('=').ok_or_else(|| {
-                ScenarioError::at(lineno, format!("expected 'key = value', got '{line}'"))
-            })?;
+            let (key, value) = line
+                .split_once('=')
+                .ok_or_else(|| at(format!("expected 'key = value', got '{line}'")))?;
             let key = key.trim().to_ascii_lowercase();
             let value = value.trim();
             if value.is_empty() {
-                return Err(ScenarioError::at(
-                    lineno,
-                    format!("key '{key}' has no value"),
-                ));
+                return Err(at(format!("key '{key}' has no value")));
             }
-            match section.as_str() {
-                "" => {
-                    return Err(ScenarioError::at(
-                        lineno,
-                        format!("key '{key}' before any [section] header"),
-                    ))
-                }
-                "campaign" => def.parse_campaign_key(&key, value, lineno)?,
-                "platform" => def.parse_platform_key(&key, value, lineno)?,
-                "topology" => def.parse_topology_key(&key, value, lineno)?,
-                "memory" => def.parse_memory_key(&key, value, lineno)?,
-                "tua" => def.parse_tua_key(&key, value, lineno)?,
-                "contenders" => def.parse_contenders_key(&key, value, lineno)?,
-                "sweep" => def.parse_sweep_key(&key, value, lineno)?,
-                "report" => def.parse_report_key(&key, value, lineno)?,
-                "checkpoint" => def.parse_checkpoint_key(&key, value, lineno)?,
-                _ => unreachable!("sections are validated above"),
+            match section {
+                None => Err(format!("key '{key}' before any [section] header")),
+                Some(("sweep", _)) => def.parse_sweep_key(&key, value),
+                Some((s, keys)) => def.set_in(s, keys, &key, value),
             }
+            .map_err(at)?;
         }
         Ok(def)
     }
 
-    fn parse_campaign_key(
-        &mut self,
-        key: &str,
-        value: &str,
-        lineno: usize,
-    ) -> Result<(), ScenarioError> {
-        match key {
-            "name" => self.name = value.to_string(),
-            "runs" => {
-                self.runs = parse_num(value, "runs", lineno)?;
-                if self.runs == 0 {
-                    return Err(ScenarioError::at(lineno, "runs must be positive"));
-                }
-            }
-            "seed" => self.seed = parse_num(value, "seed", lineno)?,
-            "threads" => {
-                let n: usize = parse_num(value, "threads", lineno)?;
-                self.threads = if n == 0 { None } else { Some(n) };
-            }
-            other => {
-                return Err(ScenarioError::at(
-                    lineno,
-                    format!(
-                        "unknown [campaign] key '{other}' (expected name, runs, seed, threads)"
-                    ),
-                ))
-            }
-        }
-        Ok(())
+    /// Applies `key = value` as a line of `[section]` would (the CLI's
+    /// scenario-file overrides use this).
+    ///
+    /// # Errors
+    ///
+    /// The message a scenario file would get for that line, without the
+    /// line number.
+    pub fn set(&mut self, section: &str, key: &str, value: &str) -> Result<(), String> {
+        self.set_in(section, section_keys(section), key, value)
     }
 
-    fn parse_platform_key(
-        &mut self,
-        key: &str,
-        value: &str,
-        lineno: usize,
-    ) -> Result<(), ScenarioError> {
-        let t = &mut self.template;
-        match key {
-            "cores" => t.cores = parse_num(value, "cores", lineno)?,
-            "policy" => {
-                parse_policy(value).map_err(|e| ScenarioError::at(lineno, e))?;
-                t.policy = value.to_string();
-            }
-            "cba" => t.cba = value.to_string(),
-            "caps" => t.caps = Some(value.to_string()),
-            "lfsr" => t.lfsr = parse_switch(value, "lfsr", lineno)?,
-            "engine" => {
-                parse_engine(value).map_err(|e| ScenarioError::at(lineno, e))?;
-                t.engine = value.to_string();
-            }
-            other => {
-                return Err(ScenarioError::at(
-                    lineno,
-                    format!(
-                        "unknown [platform] key '{other}' (expected cores, policy, cba, caps, \
-                         lfsr, engine)"
-                    ),
-                ))
-            }
-        }
-        Ok(())
-    }
-
-    fn parse_topology_key(
-        &mut self,
-        key: &str,
-        value: &str,
-        lineno: usize,
-    ) -> Result<(), ScenarioError> {
-        let topo = self
-            .template
-            .topology
-            .as_mut()
-            .expect("[topology] section initializes the template");
-        match key {
-            "clusters" => {
-                topo.clusters = parse_num(value, "clusters", lineno)?;
-                if topo.clusters == 0 {
-                    return Err(ScenarioError::at(lineno, "clusters must be positive"));
-                }
-            }
-            "cores_per_cluster" => {
-                topo.cores_per_cluster = parse_num(value, "cores_per_cluster", lineno)?;
-                if topo.cores_per_cluster == 0 {
-                    return Err(ScenarioError::at(
-                        lineno,
-                        "cores_per_cluster must be positive",
-                    ));
-                }
-            }
-            "bridge_latency" => {
-                topo.bridge_latency = parse_num(value, "bridge_latency", lineno)?;
-                if topo.bridge_latency == 0 {
-                    return Err(ScenarioError::at(
-                        lineno,
-                        "bridge_latency must be at least 1",
-                    ));
-                }
-            }
-            "bridge_depth" => {
-                topo.bridge_depth = parse_num(value, "bridge_depth", lineno)?;
-                if topo.bridge_depth == 0 {
-                    return Err(ScenarioError::at(lineno, "bridge_depth must be at least 1"));
-                }
-            }
-            "cluster_policy" => {
-                parse_policy(value).map_err(|e| ScenarioError::at(lineno, e))?;
-                topo.cluster_policy = Some(value.to_string());
-            }
-            "backbone_policy" => {
-                parse_policy(value).map_err(|e| ScenarioError::at(lineno, e))?;
-                topo.backbone_policy = Some(value.to_string());
-            }
-            "cluster_cba" => topo.cluster_cba = value.to_string(),
-            "cluster_caps" => topo.cluster_caps = Some(value.to_string()),
-            "backbone_cba" => topo.backbone_cba = Some(value.to_string()),
-            "backbone_caps" => topo.backbone_caps = Some(value.to_string()),
-            other => {
-                return Err(ScenarioError::at(
-                    lineno,
-                    format!(
-                        "unknown [topology] key '{other}' (expected clusters, \
-                         cores_per_cluster, bridge_latency, bridge_depth, cluster_policy, \
-                         cluster_cba, cluster_caps, backbone_policy, backbone_cba, \
-                         backbone_caps)"
-                    ),
-                ))
-            }
-        }
-        Ok(())
-    }
-
-    fn parse_memory_key(
-        &mut self,
-        key: &str,
-        value: &str,
-        lineno: usize,
-    ) -> Result<(), ScenarioError> {
-        let mem = self
-            .template
-            .memory
-            .as_mut()
-            .expect("[memory] section initializes the template");
-        let frac = |value: &str, what: &str| -> Result<f64, ScenarioError> {
-            let f: f64 = value.parse().map_err(|_| {
-                ScenarioError::at(lineno, format!("bad fraction '{value}' for '{what}'"))
-            })?;
-            if !(0.0..=1.0).contains(&f) {
-                return Err(ScenarioError::at(
-                    lineno,
-                    format!("{what} must be within [0, 1], got {f}"),
-                ));
-            }
-            Ok(f)
-        };
-        match key {
-            "working_set" => {
-                mem.working_set = parse_num(value, "working_set", lineno)?;
-                if mem.working_set < cba_mem::coherence::SHARED_LINE_BYTES {
-                    return Err(ScenarioError::at(
-                        lineno,
-                        format!(
-                            "working_set must be at least one {}-byte line",
-                            cba_mem::coherence::SHARED_LINE_BYTES
-                        ),
-                    ));
-                }
-            }
-            "accesses" => {
-                mem.accesses = parse_num(value, "accesses", lineno)?;
-                if mem.accesses == 0 {
-                    return Err(ScenarioError::at(lineno, "accesses must be positive"));
-                }
-            }
-            "write_frac" => mem.write_frac = frac(value, "write_frac")?,
-            "share_frac" => mem.share_frac = frac(value, "share_frac")?,
-            "locality" => mem.locality = frac(value, "locality")?,
-            "shared_lines" => {
-                mem.shared_lines = parse_num(value, "shared_lines", lineno)?;
-                if mem.shared_lines == 0 {
-                    return Err(ScenarioError::at(lineno, "shared_lines must be positive"));
-                }
-            }
-            "think" => mem.think = parse_num(value, "think", lineno)?,
-            "l1_sets" => {
-                mem.l1_sets = parse_num(value, "l1_sets", lineno)?;
-            }
-            "l1_ways" => {
-                mem.l1_ways = parse_num(value, "l1_ways", lineno)?;
-            }
-            other => {
-                return Err(ScenarioError::at(
-                    lineno,
-                    format!(
-                        "unknown [memory] key '{other}' (expected working_set, accesses, \
-                         write_frac, share_frac, shared_lines, locality, think, l1_sets, \
-                         l1_ways)"
-                    ),
-                ))
-            }
-        }
-        Ok(())
-    }
-
-    fn parse_tua_key(
-        &mut self,
-        key: &str,
-        value: &str,
-        lineno: usize,
-    ) -> Result<(), ScenarioError> {
-        let t = &mut self.template;
-        match key {
-            "load" => {
-                parse_load_spec(value).map_err(|e| ScenarioError::at(lineno, e))?;
-                t.tua = TuaSpec::Load(value.to_string());
-            }
-            "profile" => {
-                profile_by_name(value).ok_or_else(|| {
-                    ScenarioError::at(lineno, format!("unknown benchmark profile '{value}'"))
-                })?;
-                // Keep overrides set by earlier knob lines.
-                let overrides = match &t.tua {
-                    TuaSpec::Profile { overrides, .. } => overrides.clone(),
-                    _ => Vec::new(),
-                };
-                t.tua = TuaSpec::Profile {
-                    name: value.to_string(),
-                    overrides,
-                };
-            }
-            knob if PROFILE_KNOBS.contains(&knob) => match &mut t.tua {
-                TuaSpec::Profile { overrides, .. } => {
-                    overrides.push((knob.to_string(), value.to_string()));
-                }
-                _ => {
-                    return Err(ScenarioError::at(
-                        lineno,
-                        format!("knob '{knob}' requires 'profile = NAME' first in [tua]"),
-                    ))
-                }
-            },
-            other => {
-                return Err(ScenarioError::at(
-                    lineno,
-                    format!(
-                        "unknown [tua] key '{other}' (expected load, profile, or a profile knob: \
-                         {})",
-                        PROFILE_KNOBS.join(", ")
-                    ),
-                ))
-            }
-        }
-        Ok(())
-    }
-
-    fn parse_contenders_key(
-        &mut self,
-        key: &str,
-        value: &str,
-        lineno: usize,
-    ) -> Result<(), ScenarioError> {
-        let t = &mut self.template;
-        match key {
-            "scenario" => {
-                t.contenders = match value.to_ascii_lowercase().as_str() {
-                    "iso" => ContenderSpec::Isolation,
-                    "con" => ContenderSpec::MaxContention,
-                    "custom" => match &t.contenders {
-                        // `loads =` may already have set the list.
-                        c @ ContenderSpec::Custom(_) => c.clone(),
-                        _ => ContenderSpec::Custom(Vec::new()),
-                    },
-                    other => {
-                        return Err(ScenarioError::at(
-                            lineno,
-                            format!("unknown scenario '{other}' (expected iso, con, custom)"),
-                        ))
-                    }
-                };
-            }
-            "loads" => {
-                let specs: Vec<String> = value.split(',').map(|s| s.trim().to_string()).collect();
-                for s in &specs {
-                    parse_load_spec(s).map_err(|e| ScenarioError::at(lineno, e))?;
-                }
-                t.contenders = ContenderSpec::Custom(specs);
-            }
-            "fill" => {
-                parse_load_spec(value).map_err(|e| ScenarioError::at(lineno, e))?;
-                t.contenders = ContenderSpec::Fill(value.to_string());
-            }
-            "duration" => t.duration = Some(parse_num(value, "duration", lineno)?),
-            "wcet" => {
-                t.wcet = match value.to_ascii_lowercase().as_str() {
-                    "auto" => WcetSpec::Auto,
-                    "on" | "true" => WcetSpec::On,
-                    "off" | "false" => WcetSpec::Off,
-                    other => {
-                        return Err(ScenarioError::at(
-                            lineno,
-                            format!("unknown wcet mode '{other}' (expected auto, on, off)"),
-                        ))
-                    }
-                };
-            }
-            "stop" => {
-                parse_stop(value).map_err(|e| ScenarioError::at(lineno, e))?;
-                t.stop = value.to_string();
-            }
-            "max_cycles" => t.max_cycles = parse_num(value, "max_cycles", lineno)?,
-            "trace" => t.trace = parse_switch(value, "trace", lineno)?,
-            other => {
-                return Err(ScenarioError::at(
-                    lineno,
-                    format!(
-                        "unknown [contenders] key '{other}' (expected scenario, loads, fill, \
-                         duration, wcet, stop, max_cycles, trace)"
-                    ),
-                ))
-            }
-        }
-        Ok(())
-    }
-
-    fn parse_sweep_key(
-        &mut self,
-        key: &str,
-        value: &str,
-        lineno: usize,
-    ) -> Result<(), ScenarioError> {
-        if !SWEEP_KEYS.contains(&key) {
-            return Err(ScenarioError::at(
-                lineno,
-                format!(
-                    "unknown sweep key '{key}' (sweepable keys: {})",
-                    SWEEP_KEYS.join(", ")
-                ),
+    fn set_in(&mut self, section: &str, keys: &[Key], key: &str, v: &str) -> Result<(), String> {
+        let Some(entry) = keys.iter().find(|k| k.at.1 == key) else {
+            let names: Vec<&str> = keys.iter().map(|k| k.at.1).collect();
+            return Err(format!(
+                "unknown [{section}] key '{key}' (expected {})",
+                names.join(", ")
             ));
+        };
+        match entry.set {
+            Def(set) => set(self, key, v),
+            _ => entry.set_cell(&mut self.template, v),
+        }
+    }
+
+    fn parse_sweep_key(&mut self, key: &str, value: &str) -> Result<(), String> {
+        if AxisOp::of(key).is_none() {
+            return Err(unknown_sweep_key(key));
         }
         if self.axes.iter().any(|a| a.key == key) {
-            return Err(ScenarioError::at(
-                lineno,
-                format!("duplicate sweep axis '{key}'"),
-            ));
+            return Err(format!("duplicate sweep axis '{key}'"));
         }
         let values: Vec<AxisValue> = value
             .split(',')
             .map(|v| AxisValue::Raw(v.trim().to_string()))
             .collect();
         if values.iter().any(|v| v.raw().is_empty()) {
-            return Err(ScenarioError::at(
-                lineno,
-                format!("sweep axis '{key}' has an empty value"),
-            ));
+            return Err(format!("sweep axis '{key}' has an empty value"));
         }
         self.axes.push(Axis {
             key: key.to_string(),
@@ -899,263 +1096,32 @@ impl ScenarioDef {
         Ok(())
     }
 
-    fn parse_report_key(
-        &mut self,
-        key: &str,
-        value: &str,
-        lineno: usize,
-    ) -> Result<(), ScenarioError> {
-        match key {
-            "baseline" => {
-                let mut selector = Vec::new();
-                for pair in value.split(',') {
-                    let (k, v) = pair.trim().split_once('=').ok_or_else(|| {
-                        ScenarioError::at(
-                            lineno,
-                            format!("baseline entry '{}' is not 'axis=value'", pair.trim()),
-                        )
-                    })?;
-                    selector.push((k.trim().to_string(), v.trim().to_string()));
-                }
-                self.report.baseline = selector;
-            }
-            "percentiles" => {
-                let mut qs = Vec::new();
-                for p in value.split(',') {
-                    let pct: f64 = p.trim().parse().map_err(|_| {
-                        ScenarioError::at(lineno, format!("bad percentile '{}'", p.trim()))
-                    })?;
-                    if !(0.0..=100.0).contains(&pct) {
-                        return Err(ScenarioError::at(
-                            lineno,
-                            format!("percentile {pct} outside [0, 100]"),
-                        ));
-                    }
-                    qs.push(pct / 100.0);
-                }
-                self.report.percentiles = qs;
-            }
-            "windows" => {
-                let n: u32 = parse_num(value, "windows", lineno)?;
-                if n == 0 {
-                    return Err(ScenarioError::at(lineno, "windows must be positive"));
-                }
-                self.report.windows = Some(n);
-            }
-            "pwcet" => {
-                let mut ps = Vec::new();
-                for p in value.split(',') {
-                    let prob: f64 = p.trim().parse().map_err(|_| {
-                        ScenarioError::at(lineno, format!("bad pwcet probability '{}'", p.trim()))
-                    })?;
-                    if !(prob > 0.0 && prob < 1.0) {
-                        return Err(ScenarioError::at(
-                            lineno,
-                            format!("pwcet probability {prob} outside (0, 1)"),
-                        ));
-                    }
-                    ps.push(prob);
-                }
-                self.report.pwcet = ps;
-            }
-            other => {
-                return Err(ScenarioError::at(
-                    lineno,
-                    format!(
-                        "unknown [report] key '{other}' (expected baseline, percentiles, windows, pwcet)"
-                    ),
-                ))
-            }
-        }
-        Ok(())
-    }
-
-    fn parse_checkpoint_key(
-        &mut self,
-        key: &str,
-        value: &str,
-        lineno: usize,
-    ) -> Result<(), ScenarioError> {
-        match key {
-            "dir" => self.checkpoint.dir = Some(value.to_string()),
-            "cell_budget_ms" => {
-                let ms: u64 = parse_num(value, "cell_budget_ms", lineno)?;
-                if ms == 0 {
-                    return Err(ScenarioError::at(lineno, "cell_budget_ms must be positive"));
-                }
-                self.checkpoint.cell_budget_ms = Some(ms);
-            }
-            "run_budget_cycles" => {
-                let cycles: u64 = parse_num(value, "run_budget_cycles", lineno)?;
-                if cycles == 0 {
-                    return Err(ScenarioError::at(
-                        lineno,
-                        "run_budget_cycles must be positive",
-                    ));
-                }
-                self.checkpoint.run_budget_cycles = Some(cycles);
-            }
-            other => {
-                return Err(ScenarioError::at(
-                    lineno,
-                    format!(
-                        "unknown [checkpoint] key '{other}' (expected dir, cell_budget_ms, \
-                         run_budget_cycles)"
-                    ),
-                ))
-            }
-        }
-        Ok(())
-    }
-
     /// Renders the definition back to canonical scenario-file text:
     /// `parse(render(def)) == def` for any parser-produced definition.
     /// (Programmatic [`TuaSpec::Inline`] / [`AxisValue::Profile`] values
     /// render as their catalog names, which is lossy for ad-hoc profiles.)
+    ///
+    /// A section is written only when one of its keys emits a line, so
+    /// scenarios without the optional sections keep their renders (and
+    /// scenario hashes) byte-identical.
     pub fn render(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
-        let t = &self.template;
-        let _ = writeln!(out, "[campaign]");
-        let _ = writeln!(out, "name = {}", self.name);
-        let _ = writeln!(out, "runs = {}", self.runs);
-        let _ = writeln!(out, "seed = {}", self.seed);
-        let _ = writeln!(out, "threads = {}", self.threads.unwrap_or(0));
-        let _ = writeln!(out, "\n[platform]");
-        let _ = writeln!(out, "cores = {}", t.cores);
-        let _ = writeln!(out, "policy = {}", t.policy);
-        let _ = writeln!(out, "cba = {}", t.cba);
-        if let Some(caps) = &t.caps {
-            let _ = writeln!(out, "caps = {caps}");
-        }
-        let _ = writeln!(out, "lfsr = {}", switch(t.lfsr));
-        let _ = writeln!(out, "engine = {}", t.engine);
-        if let Some(topo) = &t.topology {
-            let _ = writeln!(out, "\n[topology]");
-            let _ = writeln!(out, "clusters = {}", topo.clusters);
-            let _ = writeln!(out, "cores_per_cluster = {}", topo.cores_per_cluster);
-            let _ = writeln!(out, "bridge_latency = {}", topo.bridge_latency);
-            let _ = writeln!(out, "bridge_depth = {}", topo.bridge_depth);
-            if let Some(p) = &topo.cluster_policy {
-                let _ = writeln!(out, "cluster_policy = {p}");
-            }
-            let _ = writeln!(out, "cluster_cba = {}", topo.cluster_cba);
-            if let Some(c) = &topo.cluster_caps {
-                let _ = writeln!(out, "cluster_caps = {c}");
-            }
-            if let Some(p) = &topo.backbone_policy {
-                let _ = writeln!(out, "backbone_policy = {p}");
-            }
-            if let Some(c) = &topo.backbone_cba {
-                let _ = writeln!(out, "backbone_cba = {c}");
-            }
-            if let Some(c) = &topo.backbone_caps {
-                let _ = writeln!(out, "backbone_caps = {c}");
-            }
-        }
-        // Emitted only when configured, so scenarios predating the
-        // [memory] section keep byte-identical canonical renders (and
-        // stable scenario hashes).
-        if let Some(mem) = &t.memory {
-            let _ = writeln!(out, "\n[memory]");
-            let _ = writeln!(out, "working_set = {}", mem.working_set);
-            let _ = writeln!(out, "accesses = {}", mem.accesses);
-            let _ = writeln!(out, "write_frac = {}", mem.write_frac);
-            let _ = writeln!(out, "share_frac = {}", mem.share_frac);
-            let _ = writeln!(out, "shared_lines = {}", mem.shared_lines);
-            let _ = writeln!(out, "locality = {}", mem.locality);
-            let _ = writeln!(out, "think = {}", mem.think);
-            let _ = writeln!(out, "l1_sets = {}", mem.l1_sets);
-            let _ = writeln!(out, "l1_ways = {}", mem.l1_ways);
-        }
-        let _ = writeln!(out, "\n[tua]");
-        match &t.tua {
-            TuaSpec::Load(spec) => {
-                let _ = writeln!(out, "load = {spec}");
-            }
-            TuaSpec::Profile { name, overrides } => {
-                let _ = writeln!(out, "profile = {name}");
-                for (k, v) in overrides {
-                    let _ = writeln!(out, "{k} = {v}");
+        for section in SECTIONS {
+            let mut body = String::new();
+            if section == "sweep" {
+                for axis in &self.axes {
+                    let values: Vec<&str> = axis.values.iter().map(AxisValue::raw).collect();
+                    put(&mut body, &axis.key, Some(values.join(",")));
                 }
             }
-            TuaSpec::Inline(profile) => {
-                let _ = writeln!(out, "profile = {}", profile.name);
+            for key in section_keys(section) {
+                (key.render)(self, key.at.1, &mut body);
             }
-        }
-        let _ = writeln!(out, "\n[contenders]");
-        match &t.contenders {
-            ContenderSpec::Isolation => {
-                let _ = writeln!(out, "scenario = iso");
-            }
-            ContenderSpec::MaxContention => {
-                let _ = writeln!(out, "scenario = con");
-            }
-            ContenderSpec::Custom(specs) => {
-                let _ = writeln!(out, "loads = {}", specs.join(","));
-            }
-            ContenderSpec::Fill(spec) => {
-                let _ = writeln!(out, "fill = {spec}");
-            }
-        }
-        if let Some(d) = t.duration {
-            let _ = writeln!(out, "duration = {d}");
-        }
-        let wcet = match t.wcet {
-            WcetSpec::Auto => "auto",
-            WcetSpec::On => "on",
-            WcetSpec::Off => "off",
-        };
-        let _ = writeln!(out, "wcet = {wcet}");
-        let _ = writeln!(out, "stop = {}", t.stop);
-        let _ = writeln!(out, "max_cycles = {}", t.max_cycles);
-        let _ = writeln!(out, "trace = {}", switch(t.trace));
-        if !self.axes.is_empty() {
-            let _ = writeln!(out, "\n[sweep]");
-            for axis in &self.axes {
-                let values: Vec<&str> = axis.values.iter().map(AxisValue::raw).collect();
-                let _ = writeln!(out, "{} = {}", axis.key, values.join(","));
-            }
-        }
-        let _ = writeln!(out, "\n[report]");
-        if let Some(w) = self.report.windows {
-            let _ = writeln!(out, "windows = {w}");
-        }
-        if !self.report.baseline.is_empty() {
-            let pairs: Vec<String> = self
-                .report
-                .baseline
-                .iter()
-                .map(|(k, v)| format!("{k}={v}"))
-                .collect();
-            let _ = writeln!(out, "baseline = {}", pairs.join(","));
-        }
-        let pcts: Vec<String> = self
-            .report
-            .percentiles
-            .iter()
-            .map(|q| format!("{}", q * 100.0))
-            .collect();
-        let _ = writeln!(out, "percentiles = {}", pcts.join(","));
-        // Only when configured: pre-pwcet scenarios keep byte-identical
-        // canonical renders (and scenario hashes, so their checkpoint
-        // journals stay resumable).
-        if !self.report.pwcet.is_empty() {
-            let ps: Vec<String> = self.report.pwcet.iter().map(|p| format!("{p:e}")).collect();
-            let _ = writeln!(out, "pwcet = {}", ps.join(","));
-        }
-        // Emitted only when configured, so scenarios predating the
-        // [checkpoint] section keep byte-identical canonical renders.
-        if !self.checkpoint.is_default() {
-            let _ = writeln!(out, "\n[checkpoint]");
-            if let Some(dir) = &self.checkpoint.dir {
-                let _ = writeln!(out, "dir = {dir}");
-            }
-            if let Some(ms) = self.checkpoint.cell_budget_ms {
-                let _ = writeln!(out, "cell_budget_ms = {ms}");
-            }
-            if let Some(cycles) = self.checkpoint.run_budget_cycles {
-                let _ = writeln!(out, "run_budget_cycles = {cycles}");
+            if !body.is_empty() {
+                if !out.is_empty() {
+                    out.push('\n');
+                }
+                let _ = write!(out, "[{section}]\n{body}");
             }
         }
         out
@@ -1215,14 +1181,17 @@ impl ScenarioDef {
     /// Returns the first axis-application or spec-validation error, named
     /// with the offending cell's labels.
     pub fn expand(&self) -> Result<Vec<Cell>, ScenarioError> {
-        for axis in &self.axes {
-            if axis.values.is_empty() {
-                return Err(ScenarioError::new(format!(
-                    "sweep axis '{}' is empty",
-                    axis.key
-                )));
-            }
-        }
+        let ops = self
+            .axes
+            .iter()
+            .map(|axis| {
+                if axis.values.is_empty() {
+                    return Err(format!("sweep axis '{}' is empty", axis.key));
+                }
+                AxisOp::of(&axis.key).ok_or_else(|| unknown_sweep_key(&axis.key))
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(ScenarioError::new)?;
         let sizes: Vec<usize> = self.axes.iter().map(|a| a.values.len()).collect();
         let total: usize = sizes.iter().product();
         let mut cells = Vec::with_capacity(total);
@@ -1235,28 +1204,22 @@ impl ScenarioDef {
             }
             let mut template = self.template.clone();
             let mut labels = Vec::with_capacity(sizes.len());
-            for (k, axis) in self.axes.iter().enumerate() {
-                let label = apply_axis(&mut template, &axis.key, &axis.values[indices[k]])
-                    .map_err(|e| {
-                        ScenarioError::new(format!(
-                            "axis '{}' value '{}': {e}",
-                            axis.key,
-                            axis.values[indices[k]].raw()
-                        ))
-                    })?;
+            for ((axis, op), &i) in self.axes.iter().zip(&ops).zip(&indices) {
+                let value = &axis.values[i];
+                let label = op.apply(&mut template, &axis.key, value).map_err(|e| {
+                    ScenarioError::new(format!("axis '{}' value '{}': {e}", axis.key, value.raw()))
+                })?;
                 labels.push((axis.key.clone(), label));
             }
-            let mut spec = template.build().map_err(|e| {
+            let cell_error = |e: String| {
                 let cell: Vec<String> = labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
                 ScenarioError::new(format!("cell [{}]: {e}", cell.join(", ")))
-            })?;
+            };
+            let mut spec = template.build().map_err(cell_error)?;
             if self.report.windows.is_some() {
                 spec.windows = self.report.windows;
-                spec.validate().map_err(|e| {
-                    let cell: Vec<String> =
-                        labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
-                    ScenarioError::new(format!("cell [{}]: [report] windows: {e}", cell.join(", ")))
-                })?;
+                spec.validate()
+                    .map_err(|e| cell_error(format!("[report] windows: {e}")))?;
             }
             cells.push(Cell {
                 seed: self.cell_seed(&indices),
@@ -1269,7 +1232,36 @@ impl ScenarioDef {
     }
 }
 
-fn switch(b: bool) -> &'static str {
+fn topo(t: &mut Template) -> &mut TopologyTemplate {
+    t.topology.get_or_insert_with(Default::default)
+}
+
+fn topo_of(d: &ScenarioDef) -> Option<&TopologyTemplate> {
+    d.template.topology.as_ref()
+}
+
+fn mem(t: &mut Template) -> &mut MemoryConfig {
+    t.memory.get_or_insert_with(Default::default)
+}
+
+fn mem_of(d: &ScenarioDef) -> Option<&MemoryConfig> {
+    d.template.memory.as_ref()
+}
+
+/// Writes `key = value` when there is a value.
+fn put(out: &mut String, key: &str, value: Option<impl fmt::Display>) {
+    if let Some(value) = value {
+        let _ = writeln!(out, "{key} = {value}");
+    }
+}
+
+/// `items` joined with commas, or `None` when there are none.
+fn joined<T: fmt::Display>(items: impl IntoIterator<Item = T>) -> Option<String> {
+    let parts: Vec<String> = items.into_iter().map(|x| x.to_string()).collect();
+    (!parts.is_empty()).then(|| parts.join(","))
+}
+
+fn on_off(b: bool) -> &'static str {
     if b {
         "on"
     } else {
@@ -1277,39 +1269,85 @@ fn switch(b: bool) -> &'static str {
     }
 }
 
-fn parse_num<T: std::str::FromStr>(
-    value: &str,
-    what: &str,
-    lineno: usize,
-) -> Result<T, ScenarioError> {
-    value
-        .parse()
-        .map_err(|_| ScenarioError::at(lineno, format!("bad number '{value}' for '{what}'")))
+fn text(value: &str) -> Result<String, String> {
+    Ok(value.to_string())
 }
 
-fn parse_switch(value: &str, what: &str, lineno: usize) -> Result<bool, ScenarioError> {
+fn num<T: FromStr>(value: &str, what: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("bad number '{value}' for '{what}'"))
+}
+
+fn positive<T: FromStr + Default + PartialEq>(value: &str, what: &str) -> Result<T, String> {
+    nonzero(value, what, "be positive")
+}
+
+/// A number that must not be zero; `rule` words the error ("be positive").
+fn nonzero<T: FromStr + Default + PartialEq>(
+    value: &str,
+    what: &str,
+    rule: &str,
+) -> Result<T, String> {
+    let n = num(value, what)?;
+    if n == T::default() {
+        return Err(format!("{what} must {rule}"));
+    }
+    Ok(n)
+}
+
+fn frac(value: &str, what: &str) -> Result<f64, String> {
+    let f: f64 = value
+        .parse()
+        .map_err(|_| format!("bad fraction '{value}' for '{what}'"))?;
+    if !(0.0..=1.0).contains(&f) {
+        return Err(format!("{what} must be within [0, 1], got {f}"));
+    }
+    Ok(f)
+}
+
+fn switch(value: &str, what: &str) -> Result<bool, String> {
     match value.to_ascii_lowercase().as_str() {
         "on" | "true" | "1" => Ok(true),
         "off" | "false" | "0" => Ok(false),
-        other => Err(ScenarioError::at(
-            lineno,
-            format!("bad switch '{other}' for '{what}' (expected on/off)"),
+        other => Err(format!(
+            "bad switch '{other}' for '{what}' (expected on/off)"
         )),
     }
 }
 
-/// Profile knobs overridable in `[tua]` and sweepable as axes.
-const PROFILE_KNOBS: &[&str] = &[
-    "accesses",
-    "working_set",
-    "p_random",
-    "p_store",
-    "p_atomic",
-    "p_ifetch",
-    "burst",
-    "gap",
-    "between",
-];
+/// Parses a comma-separated list, one trimmed item at a time.
+fn list<T>(value: &str, item: impl Fn(&str) -> Result<T, String>) -> Result<Vec<T>, String> {
+    value.split(',').map(|p| item(p.trim())).collect()
+}
+
+/// A `LO:HI` profile-knob range.
+fn range(value: &str, what: &str) -> Result<(u32, u32), String> {
+    let (lo, hi) = value
+        .split_once(':')
+        .ok_or_else(|| format!("'{what}' expects 'LO:HI', got '{value}'"))?;
+    Ok((num(lo, what)?, num(hi, what)?))
+}
+
+/// The setter of a `[tua]` profile knob: on a catalog profile, checks the
+/// value and records it as an override (re-applied in order at build
+/// time); on an explicit profile, applies it.
+fn set_knob(t: &mut Template, knob: &str, value: &str, apply: KnobFn) -> Result<(), String> {
+    match &mut t.tua {
+        TuaSpec::Profile { name, overrides } => {
+            let mut profile = profile_by_name(name)
+                .ok_or_else(|| format!("unknown benchmark profile '{name}'"))?;
+            apply(&mut profile, knob, value)?;
+            overrides.push((knob.to_string(), value.to_string()));
+            Ok(())
+        }
+        TuaSpec::Inline(profile) => apply(profile, knob, value),
+        TuaSpec::Load(_) => Err(format!(
+            "knob '{knob}' requires a profile-based TuA ('profile = NAME' first in [tua], \
+             or a 'bench' axis)"
+        )),
+    }
+}
 
 /// Parses a cycle-engine selector: `events` (the fast path) or `naive`
 /// (the per-cycle reference loop), case-insensitively.
@@ -1379,7 +1417,10 @@ pub fn parse_cba_spec(
                     numerators.len()
                 ));
             }
-            let denominator: u32 = numerators.iter().sum();
+            let denominator = numerators
+                .iter()
+                .try_fold(0u32, |sum, &w| sum.checked_add(w))
+                .ok_or_else(|| format!("weights in cba spec '{s}' overflow their sum"))?;
             CreditConfig::weighted(max_latency, numerators, denominator)
                 .map(Some)
                 .map_err(|e| e.to_string())
@@ -1402,10 +1443,10 @@ pub fn parse_cba_spec(
 /// ```
 pub fn parse_load_spec(s: &str) -> Result<CoreLoad, String> {
     let parts: Vec<&str> = s.split(':').collect();
-    let num = |p: &str| -> Result<u64, String> {
+    fn field<T: FromStr>(p: &str, what: &str, s: &str) -> Result<T, String> {
         p.parse()
-            .map_err(|_| format!("bad number '{p}' in load '{s}'"))
-    };
+            .map_err(|_| format!("bad {what} '{p}' in load '{s}'"))
+    }
     match parts.as_slice() {
         ["idle"] => Ok(CoreLoad::Idle),
         ["bench", name] => Ok(CoreLoad::named(name)),
@@ -1414,19 +1455,21 @@ pub fn parse_load_spec(s: &str) -> Result<CoreLoad, String> {
             args: args.iter().map(|a| a.to_string()).collect(),
         }),
         ["fixed", r, d, g] => Ok(CoreLoad::FixedTask {
-            n_requests: num(r)?,
-            duration: num(d)? as u32,
-            gap: num(g)? as u32,
+            n_requests: field(r, "request count", s)?,
+            duration: field(d, "duration", s)?,
+            gap: field(g, "gap", s)?,
         }),
         ["sat", d] => Ok(CoreLoad::Saturating {
-            duration: num(d)? as u32,
+            duration: field(d, "duration", s)?,
         }),
         ["per", d, p, ph] => Ok(CoreLoad::Periodic {
-            duration: num(d)? as u32,
-            period: num(p)?,
-            phase: num(ph)?,
+            duration: field(d, "duration", s)?,
+            period: field(p, "period", s)?,
+            phase: field(ph, "phase", s)?,
         }),
-        ["stream", a] => Ok(CoreLoad::Streaming { accesses: num(a)? }),
+        ["stream", a] => Ok(CoreLoad::Streaming {
+            accesses: field(a, "access count", s)?,
+        }),
         _ => Err(format!(
             "unknown load spec '{s}' (expected bench:NAME, fixed:R:D:G, sat:D, per:D:P:PH, \
              stream:A, idle, agent:KIND:ARGS...)"
@@ -1450,166 +1493,6 @@ fn parse_stop(s: &str) -> Result<StopCondition, String> {
     }
 }
 
-/// Applies one sweep-axis value to a template clone; returns the value's
-/// canonical label for reports and baseline matching.
-fn apply_axis(t: &mut Template, key: &str, value: &AxisValue) -> Result<String, String> {
-    // The benchmark axis is the only one accepting explicit profiles.
-    if let AxisValue::Profile(profile) = value {
-        if key != "bench" {
-            return Err(format!("axis '{key}' cannot take a profile value"));
-        }
-        t.tua = TuaSpec::Inline(profile.clone());
-        return Ok(profile.name.to_string());
-    }
-    let v = value.raw();
-    match key {
-        "bench" => {
-            profile_by_name(v).ok_or_else(|| format!("unknown benchmark profile '{v}'"))?;
-            // Keep knob overrides from the [tua] section, if any.
-            let overrides = match &t.tua {
-                TuaSpec::Profile { overrides, .. } => overrides.clone(),
-                _ => Vec::new(),
-            };
-            t.tua = TuaSpec::Profile {
-                name: v.to_string(),
-                overrides,
-            };
-            Ok(v.to_string())
-        }
-        "setup" => match v.to_ascii_lowercase().as_str() {
-            "rp" => {
-                t.policy = "rp".into();
-                t.cba = "none".into();
-                Ok("RP".into())
-            }
-            "cba" => {
-                t.policy = "rp".into();
-                t.cba = "homog".into();
-                Ok("CBA".into())
-            }
-            "hcba" => {
-                t.policy = "rp".into();
-                t.cba = "hcba".into();
-                Ok("H-CBA".into())
-            }
-            custom => {
-                // `POLICY` or `POLICY+CBASPEC`, e.g. `rr`, `fifo`,
-                // `rr+homog`, `lot+w:3:1:1:1`.
-                let (policy, cba) = match custom.split_once('+') {
-                    Some((p, c)) => (p, c),
-                    None => (custom, "none"),
-                };
-                parse_policy(policy)?;
-                t.policy = policy.to_string();
-                t.cba = cba.to_string();
-                Ok(v.to_string())
-            }
-        },
-        "scenario" => match v.to_ascii_lowercase().as_str() {
-            "iso" => {
-                t.contenders = ContenderSpec::Isolation;
-                Ok("ISO".into())
-            }
-            "con" => {
-                t.contenders = ContenderSpec::MaxContention;
-                Ok("CON".into())
-            }
-            other => Err(format!("unknown scenario '{other}' (expected iso, con)")),
-        },
-        "cores" => {
-            t.cores = v.parse().map_err(|_| format!("bad core count '{v}'"))?;
-            Ok(v.to_string())
-        }
-        "policy" => {
-            let kind = parse_policy(v)?;
-            t.policy = v.to_string();
-            Ok(kind.name().to_string())
-        }
-        "cba" => {
-            t.cba = v.to_string();
-            Ok(v.to_string())
-        }
-        "weights" => {
-            t.cba = format!("w:{v}");
-            Ok(v.to_string())
-        }
-        "caps" => {
-            t.caps = Some(v.to_string());
-            Ok(v.to_string())
-        }
-        "duration" => {
-            t.duration = Some(v.parse().map_err(|_| format!("bad duration '{v}'"))?);
-            Ok(v.to_string())
-        }
-        "tua" => {
-            parse_load_spec(v)?;
-            t.tua = TuaSpec::Load(v.to_string());
-            Ok(v.to_string())
-        }
-        "fill" => {
-            parse_load_spec(v)?;
-            t.contenders = ContenderSpec::Fill(v.to_string());
-            Ok(v.to_string())
-        }
-        "clusters" | "bridge_latency" | "bridge_depth" | "cluster_cba" | "backbone_cba" => {
-            let topo = t.topology.as_mut().ok_or_else(|| {
-                format!("axis '{key}' requires a [topology] section in the scenario")
-            })?;
-            match key {
-                "clusters" => topo.clusters = v.parse().map_err(|_| bad_topo_num(key, v))?,
-                "bridge_latency" => {
-                    topo.bridge_latency = v.parse().map_err(|_| bad_topo_num(key, v))?
-                }
-                "bridge_depth" => {
-                    topo.bridge_depth = v.parse().map_err(|_| bad_topo_num(key, v))?
-                }
-                "cluster_cba" => topo.cluster_cba = v.to_string(),
-                "backbone_cba" => topo.backbone_cba = Some(v.to_string()),
-                _ => unreachable!("matched above"),
-            }
-            Ok(v.to_string())
-        }
-        "mem_working_set" | "share_frac" | "write_frac" | "l1_sets" => {
-            let mem = t.memory.as_mut().ok_or_else(|| {
-                format!("axis '{key}' requires a [memory] section in the scenario")
-            })?;
-            let bad = |what: &str| format!("bad {what} '{v}' for memory axis '{key}'");
-            match key {
-                "mem_working_set" => {
-                    mem.working_set = v.parse().map_err(|_| bad("size"))?;
-                }
-                "share_frac" => mem.share_frac = v.parse().map_err(|_| bad("fraction"))?,
-                "write_frac" => mem.write_frac = v.parse().map_err(|_| bad("fraction"))?,
-                "l1_sets" => mem.l1_sets = v.parse().map_err(|_| bad("count"))?,
-                _ => unreachable!("matched above"),
-            }
-            // Domain errors surface with the cell label via
-            // MemoryConfig::validate in Template::build.
-            Ok(v.to_string())
-        }
-        knob if PROFILE_KNOBS.contains(&knob) => {
-            match &mut t.tua {
-                TuaSpec::Profile { overrides, .. } => {
-                    overrides.push((knob.to_string(), v.to_string()));
-                }
-                TuaSpec::Inline(profile) => apply_profile_knob(profile, knob, v)?,
-                TuaSpec::Load(_) => {
-                    return Err(format!(
-                        "knob '{knob}' requires a profile-based TuA (set 'profile = NAME' in [tua] \
-                         or add a 'bench' axis)"
-                    ))
-                }
-            }
-            Ok(v.to_string())
-        }
-        other => Err(format!("unknown sweep key '{other}'")),
-    }
-}
-
-fn bad_topo_num(key: &str, value: &str) -> String {
-    format!("bad number '{value}' for topology axis '{key}'")
-}
-
 /// Applies a `2:1:1:1`-style cap-multiplier spec to a segment's credit
 /// config (which must exist: caps without a filter are meaningless).
 fn apply_caps(cba: Option<CreditConfig>, caps: &str, what: &str) -> Result<CreditConfig, String> {
@@ -1627,32 +1510,6 @@ fn apply_caps(cba: Option<CreditConfig>, caps: &str, what: &str) -> Result<Credi
         .map_err(|e| e.to_string())
 }
 
-fn apply_profile_knob(p: &mut EembcProfile, knob: &str, value: &str) -> Result<(), String> {
-    let bad = |what: &str| format!("bad {what} '{value}' for knob '{knob}'");
-    let parse_range = |value: &str| -> Result<(u32, u32), String> {
-        let (lo, hi) = value
-            .split_once(':')
-            .ok_or_else(|| format!("knob '{knob}' expects 'LO:HI', got '{value}'"))?;
-        Ok((
-            lo.parse().map_err(|_| bad("bound"))?,
-            hi.parse().map_err(|_| bad("bound"))?,
-        ))
-    };
-    match knob {
-        "accesses" => p.accesses = value.parse().map_err(|_| bad("count"))?,
-        "working_set" => p.working_set = value.parse().map_err(|_| bad("size"))?,
-        "p_random" => p.p_random = value.parse().map_err(|_| bad("fraction"))?,
-        "p_store" => p.p_store = value.parse().map_err(|_| bad("fraction"))?,
-        "p_atomic" => p.p_atomic = value.parse().map_err(|_| bad("fraction"))?,
-        "p_ifetch" => p.p_ifetch = value.parse().map_err(|_| bad("fraction"))?,
-        "burst" => p.burst_len = parse_range(value)?,
-        "gap" => p.within_gap = parse_range(value)?,
-        "between" => p.between_gap_mean = value.parse().map_err(|_| bad("mean"))?,
-        other => return Err(format!("unknown profile knob '{other}'")),
-    }
-    Ok(())
-}
-
 impl TuaSpec {
     /// Resolves this spec into a core-0 [`CoreLoad`].
     pub fn build(&self) -> Result<CoreLoad, String> {
@@ -1662,7 +1519,11 @@ impl TuaSpec {
                 let mut profile = profile_by_name(name)
                     .ok_or_else(|| format!("unknown benchmark profile '{name}'"))?;
                 for (knob, value) in overrides {
-                    apply_profile_knob(&mut profile, knob, value)?;
+                    let key = section_keys("tua").iter().find(|k| k.at.1 == knob);
+                    match key.map(|k| k.set) {
+                        Some(Knob(apply)) => apply(&mut profile, knob, value)?,
+                        _ => return Err(format!("unknown profile knob '{knob}'")),
+                    }
                 }
                 profile
                     .validate()
@@ -1692,15 +1553,21 @@ impl Template {
         let maxl = latency.max_latency();
         // With a [topology] the core count is derived from it; the flat
         // `cores` key is ignored (axes reshape the topology directly).
+        let max = sim_core::CoreId::MAX_CORES;
         let n = match &self.topology {
-            Some(topo) => topo.clusters * topo.cores_per_cluster,
+            Some(topo) => topo
+                .clusters
+                .checked_mul(topo.cores_per_cluster)
+                .ok_or_else(|| {
+                    format!(
+                        "core count {} x {} outside 1..={max}",
+                        topo.clusters, topo.cores_per_cluster
+                    )
+                })?,
             None => self.cores,
         };
-        if n == 0 || n > sim_core::CoreId::MAX_CORES {
-            return Err(format!(
-                "core count {n} outside 1..={}",
-                sim_core::CoreId::MAX_CORES
-            ));
+        if n == 0 || n > max {
+            return Err(format!("core count {n} outside 1..={max}"));
         }
         let policy = parse_policy(&self.policy)?;
         let topology = match &self.topology {
@@ -1820,6 +1687,33 @@ seed = 11
 [tua]
 load = fixed:10:6:4
 ";
+
+    #[test]
+    fn key_table_is_grouped_by_section_without_duplicates() {
+        // `section_keys` and `render` rely on each section being one run
+        // of the table, in `SECTIONS` order.
+        let order: Vec<&str> = KEYS.iter().map(|k| k.at.0).collect();
+        let mut sections = order.clone();
+        sections.dedup();
+        let expected: Vec<&str> = SECTIONS.into_iter().filter(|s| *s != "sweep").collect();
+        assert_eq!(sections, expected);
+        let mut keys: Vec<_> = KEYS.iter().map(|k| (k.at.0, k.at.1)).collect();
+        keys.sort();
+        keys.dedup();
+        assert_eq!(keys.len(), KEYS.len(), "a key appears twice");
+        for key in KEYS {
+            let campaign_wide = matches!(key.set, Def(_));
+            assert!(
+                !(campaign_wide && key.at.2.is_some()),
+                "{:?} is swept",
+                key.at
+            );
+        }
+        let mut axes = sweep_keys();
+        axes.sort();
+        axes.dedup();
+        assert_eq!(axes.len(), sweep_keys().len(), "an axis name appears twice");
+    }
 
     #[test]
     fn minimal_file_gets_defaults() {
@@ -2119,6 +2013,20 @@ percentiles = 50,95,99.9
         assert_eq!(def, reparsed, "canonical render must round-trip");
         // And a second render is a fixed point.
         assert_eq!(rendered, reparsed.render());
+
+        // A custom contender list with no loads renders as `scenario =
+        // custom`; on a one-core platform it is a valid one-cell grid.
+        let custom = "[platform]\ncores = 1\n[tua]\nload = fixed:10:6:4\n\
+                      [contenders]\nscenario = custom\n";
+        let def = ScenarioDef::parse(custom).unwrap();
+        assert_eq!(def.template.contenders, ContenderSpec::Custom(Vec::new()));
+        let rendered = def.render();
+        assert!(rendered.contains("scenario = custom\n"), "{rendered}");
+        let reparsed = ScenarioDef::parse(&rendered)
+            .unwrap_or_else(|e| panic!("render must re-parse: {e}\n{rendered}"));
+        assert_eq!(def, reparsed);
+        assert_eq!(rendered, reparsed.render());
+        assert_eq!(reparsed.expand().unwrap().len(), 1);
     }
 
     #[test]
@@ -2184,8 +2092,8 @@ share_frac = 0.1,0.5
 
     #[test]
     fn swept_memory_values_hit_domain_validation() {
-        // The axis parser accepts any f64; MemoryConfig::validate catches
-        // out-of-domain values at cell-build time with the cell named.
+        // A swept value goes through the [memory] key's own setter, so it
+        // fails with the file line's range message, naming the axis value.
         let text = "\
 [campaign]
 runs = 1
@@ -2197,7 +2105,10 @@ load = agent:mem
 share_frac = 0.5,1.5
 ";
         let err = ScenarioDef::parse(text).unwrap().expand().unwrap_err();
-        assert!(err.msg.contains("share_frac"), "{err}");
+        assert_eq!(
+            err.msg,
+            "axis 'share_frac' value '1.5': share_frac must be within [0, 1], got 1.5"
+        );
     }
 
     #[test]
@@ -2315,6 +2226,14 @@ stop = horizon:1000
         let err = ScenarioDef::parse("[topology]\nbridge_latency = 0\n").unwrap_err();
         assert!(err.msg.contains("at least 1"), "{err}");
 
+        // A swept value goes through the same setter as the file line.
+        let text = format!("{FABRIC}[sweep]\nclusters = 2,0\n");
+        let err = ScenarioDef::parse(&text).unwrap().expand().unwrap_err();
+        assert_eq!(
+            err.msg,
+            "axis 'clusters' value '0': clusters must be positive"
+        );
+
         // Backbone weights sized for the wrong cluster count.
         let text = FABRIC.replace("clusters = 2", "clusters = 4");
         let err = ScenarioDef::parse(&text).unwrap().expand().unwrap_err();
@@ -2327,9 +2246,38 @@ stop = horizon:1000
     }
 
     #[test]
+    fn huge_fabric_reports_the_core_count_instead_of_overflowing() {
+        let text = "[topology]\nclusters = 18446744073709551615\ncores_per_cluster = 2\n";
+        let err = ScenarioDef::parse(text).unwrap().expand().unwrap_err();
+        assert_eq!(
+            err.msg,
+            "cell []: core count 18446744073709551615 x 2 outside 1..=64"
+        );
+    }
+
+    #[test]
     fn bad_specs_rejected() {
         assert!(parse_load_spec("sat").is_err());
         assert!(parse_load_spec("fixed:1:2").is_err());
+        // Durations and gaps are u32: larger values are errors naming the
+        // field, not silently truncated.
+        assert_eq!(
+            parse_load_spec("sat:4294967352").unwrap_err(),
+            "bad duration '4294967352' in load 'sat:4294967352'"
+        );
+        assert_eq!(
+            parse_load_spec("fixed:1:4294967302:4294967300").unwrap_err(),
+            "bad duration '4294967302' in load 'fixed:1:4294967302:4294967300'"
+        );
+        assert_eq!(
+            parse_load_spec("fixed:1:6:4294967300").unwrap_err(),
+            "bad gap '4294967300' in load 'fixed:1:6:4294967300'"
+        );
+        assert!(parse_load_spec("per:4294967296:90:0").is_err());
+        assert!(
+            parse_cba_spec("w:4294967295:1", 2, 56).is_err(),
+            "sum overflow"
+        );
         assert!(parse_cba_spec("w:1:2", 4, 56).is_err(), "length mismatch");
         assert!(parse_cba_spec("hcba", 8, 56).is_err(), "hcba is 4-core");
         assert!(parse_policy("best").is_err());

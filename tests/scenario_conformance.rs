@@ -8,9 +8,10 @@
 //! identical Figure-1 numbers.
 
 use cba_platform::experiments::fig1_def;
-use cba_platform::scenario::{AxisValue, ScenarioDef, TuaSpec};
+use cba_platform::scenario::{section_key_names, AxisValue, ScenarioDef, TuaSpec};
 use cba_platform::BusSetup;
 use cba_workloads::suite;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 fn scenarios_dir() -> PathBuf {
@@ -240,4 +241,44 @@ fn every_shipped_scenario_matches_its_committed_golden_render() {
             );
         }
     }
+}
+
+/// The "Every key, in one commented example" block of
+/// `scenarios/README.md` names exactly the key table's keys, section by
+/// section (commented `#key = ...` lines count), and its `[sweep]` block
+/// names every sweepable key — so a key added to the table without
+/// documentation, or documentation of a key that is gone, fails here.
+#[test]
+fn readme_example_names_exactly_the_key_table() {
+    let readme = read_scn("README.md");
+    let block = readme
+        .split("## Every key, in one commented example")
+        .nth(1)
+        .and_then(|rest| rest.split("```ini").nth(1))
+        .and_then(|rest| rest.split("```").next())
+        .expect("README has the commented example block");
+    let is_key = |k: &str| {
+        !k.is_empty()
+            && k.chars()
+                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
+    };
+    let mut documented: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    let mut section = String::new();
+    for line in block.lines().map(str::trim) {
+        if let Some(name) = line.strip_prefix('[') {
+            section = name.trim_end_matches(']').to_string();
+        } else if let Some((key, _)) = line.trim_start_matches('#').split_once(" = ") {
+            if is_key(key) {
+                documented
+                    .entry(section.clone())
+                    .or_default()
+                    .insert(key.to_string());
+            }
+        }
+    }
+    let table: BTreeMap<String, BTreeSet<String>> = section_key_names()
+        .into_iter()
+        .map(|(s, keys)| (s.to_string(), keys.into_iter().map(String::from).collect()))
+        .collect();
+    assert_eq!(documented, table);
 }
