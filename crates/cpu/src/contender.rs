@@ -122,6 +122,10 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for Contender {
         Contender::wake_at(self)
     }
 
+    fn addressed(&self, completion: Option<&CompletedTransaction>) -> bool {
+        completion.is_some_and(|c| c.core == self.core)
+    }
+
     fn is_done(&self) -> bool {
         false
     }
@@ -255,6 +259,10 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for PeriodicCont
 
     fn wake_at(&self) -> Option<Cycle> {
         PeriodicContender::wake_at(self)
+    }
+
+    fn addressed(&self, completion: Option<&CompletedTransaction>) -> bool {
+        completion.is_some_and(|c| c.core == self.core)
     }
 
     fn is_done(&self) -> bool {

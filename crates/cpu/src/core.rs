@@ -25,11 +25,11 @@ enum PendingWhat {
 enum ExecState {
     /// Fetch the next operation this cycle.
     Ready,
-    /// Busy with pipeline work through cycle `until - 1`; the next fetch
-    /// happens at cycle `until`. Absolute time (not a countdown) so the
-    /// event-driven engine can skip the stretch and tick the core exactly
-    /// at `until`.
-    Computing { until: Cycle },
+    /// Busy with pipeline work (compute ops and L1 hits, run ahead on
+    /// the core's private state) through cycle `until - 1`; at cycle
+    /// `until` the stashed bus-visible op `then` takes effect. Absolute
+    /// time, so the event-driven engine can skip the stretch.
+    Computing { until: Cycle, then: Stashed },
     /// A blocking transaction waits to be posted (older stores drain
     /// first).
     AwaitPost(BusTransaction),
@@ -43,6 +43,20 @@ enum ExecState {
     Done,
 }
 
+/// The first op of a run-ahead stretch whose effect other agents can
+/// see, held back to its own cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stashed {
+    /// A load, ifetch or atomic miss: its classify cycle starts the bus
+    /// stall.
+    Blocking(BusTransaction),
+    /// A write-through store: it enters the store buffer, or stalls on a
+    /// full one.
+    Store(BusTransaction),
+    /// The end of the program.
+    End,
+}
+
 /// Per-core execution statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreStats {
@@ -50,7 +64,9 @@ pub struct CoreStats {
     pub ops: u64,
     /// Cycles spent on pipeline work (compute ops and L1 hits).
     pub busy_cycles: u64,
-    /// Cycles stalled on the bus (waiting to post, posted, or in service).
+    /// Cycles stalled on the bus (waiting to post, posted, or in service),
+    /// including the cycles spent draining the store buffer after the
+    /// program's end.
     pub bus_stall_cycles: u64,
     /// Cycles stalled because the store buffer was full.
     pub store_stall_cycles: u64,
@@ -64,7 +80,15 @@ pub struct CoreStats {
 /// one outstanding bus request.
 ///
 /// Drive it once per cycle with [`Core::tick`] between the bus's
-/// `begin_cycle` and `end_cycle` (see the [crate example](crate)).
+/// `begin_cycle` and `end_cycle` (see the [crate example](crate)), or
+/// only at the cycles [`Core::wake_at`] names and at its completions.
+///
+/// Fetching runs ahead: compute ops and L1 hits touch only the core's
+/// program, private hierarchy and RNG, so one tick executes them all up to
+/// the next op another agent can see (a miss, a store or the program's
+/// end), which takes effect at its own cycle. The draws happen in the
+/// per-cycle order, so timing and results do not depend on the driver;
+/// only [`CoreStats::ops`] and the hierarchy counters run ahead.
 #[derive(Debug)]
 pub struct Core {
     id: CoreId,
@@ -77,6 +101,8 @@ pub struct Core {
     stats: CoreStats,
     done_at: Option<Cycle>,
     rng: SimRng,
+    /// The first cycle not yet ticked or absorbed.
+    next: Cycle,
 }
 
 impl Core {
@@ -114,6 +140,7 @@ impl Core {
             done_at: None,
             rng: core_rng,
             program,
+            next: 0,
         }
     }
 
@@ -151,7 +178,8 @@ impl Core {
     ///
     /// `completed` must be the bus's completion report for this cycle if
     /// (and only if) it belongs to this core. The core may post a new bus
-    /// request during the call.
+    /// request during the call. A driver that skips cycles passes them to
+    /// [`Core::absorb_skipped`] before the next tick.
     ///
     /// # Panics
     ///
@@ -163,6 +191,8 @@ impl Core {
         completed: Option<&CompletedTransaction>,
         bus: &mut (impl RequestPort + ?Sized),
     ) {
+        self.next = now + 1;
+
         // 1. Absorb a completion addressed to this core.
         if let Some(ct) = completed {
             if ct.core == self.id {
@@ -194,7 +224,32 @@ impl Core {
             }
         }
 
-        // 3. Execute.
+        self.execute(now);
+    }
+
+    /// Step 3 of [`Core::tick`]: accounts cycle `now` and acts in it.
+    fn execute(&mut self, now: Cycle) {
+        if self.state == ExecState::Ready {
+            self.run_ahead(now);
+        }
+        if let ExecState::Computing { until, then } = self.state {
+            if now < until {
+                self.stats.busy_cycles += 1;
+                return;
+            }
+            self.state = match then {
+                Stashed::Blocking(tx) => ExecState::AwaitPost(tx),
+                Stashed::End => ExecState::Draining,
+                Stashed::Store(tx) => {
+                    if self.store_buffer.push(tx) {
+                        self.stats.busy_cycles += 1;
+                        self.run_ahead(now + 1);
+                        return;
+                    }
+                    ExecState::StoreStall(tx)
+                }
+            };
+        }
         match self.state {
             ExecState::Done => {}
             ExecState::Blocked | ExecState::AwaitPost(_) => {
@@ -202,27 +257,18 @@ impl Core {
             }
             ExecState::Draining => {
                 self.try_finish(now);
+                if !self.is_done() {
+                    self.stats.bus_stall_cycles += 1;
+                }
             }
             ExecState::StoreStall(tx) => {
                 self.stats.store_stall_cycles += 1;
                 if self.store_buffer.push(tx) {
-                    self.state = ExecState::Ready;
+                    self.run_ahead(now + 1);
                 }
             }
-            ExecState::Computing { until } => {
-                if now >= until {
-                    // Only reachable when the engine skipped the tail of
-                    // the compute stretch: this is the fetch cycle.
-                    self.fetch_and_start(now);
-                } else {
-                    self.stats.busy_cycles += 1;
-                    if now + 1 >= until {
-                        self.state = ExecState::Ready;
-                    }
-                }
-            }
-            ExecState::Ready => {
-                self.fetch_and_start(now);
+            ExecState::Ready | ExecState::Computing { .. } => {
+                unreachable!("resolved above")
             }
         }
     }
@@ -232,47 +278,29 @@ impl Core {
             .expect("core never double-posts");
     }
 
-    fn fetch_and_start(&mut self, now: Cycle) {
-        match self.program.next_op(&mut self.rng) {
-            None => {
-                self.state = ExecState::Draining;
-                self.try_finish(now);
-            }
-            Some(Op::Compute(n)) => {
-                self.stats.ops += 1;
-                self.stats.busy_cycles += 1;
-                self.state = if n > 1 {
-                    ExecState::Computing {
-                        until: now + n as Cycle,
-                    }
-                } else {
-                    ExecState::Ready
-                };
-            }
-            Some(Op::Access(access)) => {
-                self.stats.ops += 1;
-                let outcome = self.mem.access(access, &mut self.rng);
-                match outcome.bus_transaction(&self.lat) {
-                    None => {
-                        // L1 hit: a single busy cycle.
-                        self.stats.busy_cycles += 1;
-                    }
-                    Some(tx) => {
-                        if access.kind() == AccessKind::Store {
-                            self.stats.busy_cycles += 1;
-                            if !self.store_buffer.push(tx) {
-                                self.state = ExecState::StoreStall(tx);
-                                self.stats.busy_cycles -= 1;
-                                self.stats.store_stall_cycles += 1;
-                            }
-                        } else {
-                            self.state = ExecState::AwaitPost(tx);
-                            self.stats.bus_stall_cycles += 1;
-                        }
+    /// Fetches and executes ops from cycle `from` on, one busy cycle per
+    /// L1 hit and `n` per `Compute(n)`, up to the first bus-visible op,
+    /// which is stashed for the cycle it falls on.
+    fn run_ahead(&mut self, from: Cycle) {
+        let mut at = from;
+        let then = loop {
+            let Some(op) = self.program.next_op(&mut self.rng) else {
+                break Stashed::End;
+            };
+            self.stats.ops += 1;
+            match op {
+                Op::Compute(n) => at += Cycle::from(n.max(1)),
+                Op::Access(access) => {
+                    let outcome = self.mem.access(access, &mut self.rng);
+                    match outcome.bus_transaction(&self.lat) {
+                        None => at += 1,
+                        Some(tx) if access.kind() == AccessKind::Store => break Stashed::Store(tx),
+                        Some(tx) => break Stashed::Blocking(tx),
                     }
                 }
             }
-        }
+        };
+        self.state = ExecState::Computing { until: at, then };
     }
 
     fn try_finish(&mut self, now: Cycle) {
@@ -284,41 +312,88 @@ impl Core {
         }
     }
 
-    /// Sleep horizon for the event-driven engine: `Some(Cycle::MAX)` when
-    /// the core cannot do anything until a bus completion addressed to it
-    /// arrives (blocked on its posted transaction, stalled on a full store
-    /// buffer, draining behind a posted store, or finished), `None` when
-    /// it must be ticked every cycle (fetching, computing, about to post).
+    /// Sleep horizon for the event-driven engine: the next cycle at which
+    /// ticking the core can have any effect, absent a bus completion
+    /// addressed to it.
     ///
-    /// In every `Some` state the per-cycle tick is pure stall accounting;
-    /// [`Core::absorb_skipped`] replays that accounting for cycles the
-    /// engine skipped.
+    /// * the next cycle, when a store or a blocking miss posts then;
+    /// * `until + 1` when a run-ahead stretch ends in a blocking miss or a
+    ///   store and no request is in flight: the miss's classify cycle and
+    ///   the store's push into the empty buffer at `until` are pure
+    ///   accounting, so the core sleeps straight to the cycle it posts;
+    /// * `until` when it ends in a store behind an in-flight one, or in
+    ///   the program's end: these take effect at their own cycle;
+    /// * `Some(Cycle::MAX)` when only a completion can wake it: a
+    ///   blocking miss behind an in-flight store drain, blocked, stalled
+    ///   on a full store buffer, draining behind a posted store, or
+    ///   finished;
+    /// * `None` only in the fresh state, before the first tick.
+    ///
+    /// In every skipped cycle the per-cycle tick is pure accounting;
+    /// [`Core::absorb_skipped`] replays it.
     pub fn wake_at(&self) -> Option<Cycle> {
+        let idle_port = self.pending.is_none();
+        if idle_port
+            && (!self.store_buffer.is_empty() || matches!(self.state, ExecState::AwaitPost(_)))
+        {
+            return Some(self.next);
+        }
         match self.state {
-            ExecState::Done => Some(Cycle::MAX),
-            // A compute stretch is pure busy-cycle accounting until its
-            // fetch cycle (an in-flight store drain wakes the core at its
-            // completion — a bus event — before that if needed).
-            ExecState::Computing { until } => Some(until),
-            ExecState::Blocked | ExecState::AwaitPost(_) | ExecState::StoreStall(_)
-                if self.pending.is_some() =>
-            {
-                Some(Cycle::MAX)
-            }
-            ExecState::Draining if self.pending.is_some() => Some(Cycle::MAX),
-            _ => None,
+            ExecState::Ready => None,
+            ExecState::Computing {
+                until,
+                then: Stashed::Blocking(_) | Stashed::Store(_),
+            } if idle_port => Some(until + 1),
+            ExecState::Computing {
+                then: Stashed::Blocking(_),
+                ..
+            } => Some(Cycle::MAX),
+            ExecState::Computing { until, .. } => Some(until),
+            _ => Some(Cycle::MAX),
         }
     }
 
-    /// Accounts `k` cycles the engine skipped while this core slept (see
-    /// [`Core::wake_at`]): the stall counters advance exactly as `k`
-    /// unchanged ticks would have advanced them.
+    /// Accounts `k` cycles in which the core was not ticked, right after
+    /// the last one it was ticked at or accounted for (see
+    /// [`Core::wake_at`]): the counters advance exactly as `k` unchanged
+    /// ticks would have advanced them. A stashed blocking miss whose
+    /// classify cycle falls in the span, or a store whose cycle ends it,
+    /// takes effect here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span passes the program's end, or a stashed store
+    /// by more than the store's own cycle: those take effect in a tick.
     pub fn absorb_skipped(&mut self, k: u64) {
+        let from = self.next;
+        self.next += k;
         match self.state {
-            ExecState::Blocked | ExecState::AwaitPost(_) => self.stats.bus_stall_cycles += k,
+            ExecState::Blocked | ExecState::AwaitPost(_) | ExecState::Draining => {
+                self.stats.bus_stall_cycles += k
+            }
             ExecState::StoreStall(_) => self.stats.store_stall_cycles += k,
-            ExecState::Computing { .. } => self.stats.busy_cycles += k,
-            _ => {}
+            ExecState::Computing { until, then } => {
+                let busy = k.min(until.saturating_sub(from));
+                self.stats.busy_cycles += busy;
+                let rest = k - busy;
+                match then {
+                    _ if rest == 0 => {}
+                    Stashed::Blocking(tx) => {
+                        self.state = ExecState::AwaitPost(tx);
+                        self.stats.bus_stall_cycles += rest;
+                    }
+                    Stashed::Store(tx) if rest == 1 => {
+                        // Only an idle port lets the store's cycle go
+                        // unticked, and then the buffer is empty.
+                        let pushed = self.store_buffer.push(tx);
+                        assert!(pushed, "{} skipped a store into a full buffer", self.id);
+                        self.stats.busy_cycles += 1;
+                        self.state = ExecState::Ready;
+                    }
+                    _ => panic!("{} skipped past its {then:?} at cycle {until}", self.id),
+                }
+            }
+            ExecState::Ready | ExecState::Done => {}
         }
     }
 
@@ -337,6 +412,7 @@ impl Core {
         self.pending = None;
         self.stats = CoreStats::default();
         self.done_at = None;
+        self.next = 0;
     }
 }
 
@@ -358,6 +434,10 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for Core {
 
     fn wake_at(&self) -> Option<Cycle> {
         Core::wake_at(self)
+    }
+
+    fn addressed(&self, completion: Option<&CompletedTransaction>) -> bool {
+        completion.is_some_and(|c| c.core == self.id)
     }
 
     fn is_done(&self) -> bool {
@@ -577,15 +657,29 @@ mod tests {
             300,
         );
         let s = core.stats();
-        // busy + bus stalls ≈ done_at (store stalls zero here).
-        let total = s.busy_cycles + s.bus_stall_cycles;
+        // busy + bus stalls == done_at (store stalls zero here).
+        assert_eq!(
+            s.busy_cycles + s.bus_stall_cycles + s.store_stall_cycles,
+            core.done_at().unwrap(),
+            "cycle accounting: {s:?}"
+        );
+    }
+
+    #[test]
+    fn draining_cycles_count_as_bus_stall() {
+        // The program ends right after its store: the core then waits on
+        // the store's write-through, and those cycles are bus stalls.
+        let (core, _bus, _) = run_solo(
+            vec![Op::Compute(3), Op::Access(MemAccess::store(0x100))],
+            300,
+        );
+        let s = core.stats();
         let done = core.done_at().unwrap();
-        assert!(
-            (total as i64 - done as i64).abs() <= 2,
-            "cycle accounting: busy {} + stall {} vs done {}",
-            s.busy_cycles,
-            s.bus_stall_cycles,
+        assert_eq!(s.busy_cycles, 4);
+        assert_eq!(
+            s.busy_cycles + s.bus_stall_cycles + s.store_stall_cycles,
             done
         );
+        assert!(s.bus_stall_cycles > 20, "{s:?}");
     }
 }

@@ -192,6 +192,10 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for FixedRequest
         FixedRequestTask::wake_at(self)
     }
 
+    fn addressed(&self, completion: Option<&CompletedTransaction>) -> bool {
+        completion.is_some_and(|c| c.core == self.core)
+    }
+
     fn is_done(&self) -> bool {
         FixedRequestTask::is_done(self)
     }

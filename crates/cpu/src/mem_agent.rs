@@ -349,6 +349,10 @@ impl<P: RequestPort + ?Sized> SimAgent<P, CompletedTransaction> for MemAgent {
         MemAgent::wake_at(self)
     }
 
+    fn addressed(&self, completion: Option<&CompletedTransaction>) -> bool {
+        completion.is_some_and(|c| c.core == self.id)
+    }
+
     fn is_done(&self) -> bool {
         MemAgent::is_done(self)
     }

@@ -290,8 +290,8 @@ pub fn default_registry() -> &'static AgentRegistry {
 /// Bridges a port-generic boxed agent into the model-generic
 /// [`Simulation`](sim_core::Simulation) facade: the registry builds
 /// agents against `dyn RequestPort`, the facade drives a concrete model
-/// `M`, and this adapter unsizes `&mut M` per call. One virtual hop per
-/// tick — measured to be within noise of the old closed-enum dispatch.
+/// `M`, and this adapter unsizes `&mut M` per call. Every call costs two
+/// virtual hops: the facade's boxed `PortAgent`, then the wrapped agent.
 pub struct PortAgent(BoxedPortAgent);
 
 impl PortAgent {
@@ -318,6 +318,10 @@ impl<M: RequestPort + 'static> SimAgent<M, CompletedTransaction> for PortAgent {
 
     fn wake_at(&self) -> Option<Cycle> {
         self.0.wake_at()
+    }
+
+    fn addressed(&self, completion: Option<&CompletedTransaction>) -> bool {
+        self.0.addressed(completion)
     }
 
     fn is_done(&self) -> bool {

@@ -17,22 +17,35 @@
 //!
 //! # Contract
 //!
-//! An agent is a sequential state machine driven once per *executed*
-//! cycle, between the model's `begin_cycle` and `end_cycle`:
+//! An agent is a sequential state machine driven between the model's
+//! `begin_cycle` and `end_cycle` of the cycles the engine executes:
 //!
 //! 1. [`tick`](SimAgent::tick) receives the cycle number, the cycle's
 //!    completion report (if any) and the request port, may post traffic,
 //!    and returns a [`Control`] verdict;
 //! 2. [`wake_at`](SimAgent::wake_at), queried after the tick, bounds the
-//!    next cycle at which ticking the agent can have any effect (absent a
-//!    completion addressed to it) — the event-horizon engine skips the
-//!    cycles in between;
+//!    next cycle at which ticking the agent can have any effect absent a
+//!    completion addressed to it, and
+//!    [`addressed`](SimAgent::addressed) says which completions are
+//!    addressed to it;
 //! 3. [`absorb_skipped`](SimAgent::absorb_skipped) replays per-cycle
-//!    accounting for cycles the engine skipped, so statistics stay
-//!    bit-identical to per-cycle execution;
+//!    accounting for cycles in which the agent was not ticked, so
+//!    statistics stay bit-identical to per-cycle execution;
 //! 4. [`reset`](SimAgent::reset) must restore the agent to a
 //!    fresh-construction state (the workspace's conformance suite asserts
 //!    `reset` ≡ fresh construction for every shipped agent).
+//!
+//! Under [`Engine::Naive`](crate::sim::Engine::Naive) every agent is
+//! ticked on every cycle. Under [`Engine::Events`](crate::sim::Engine::Events)
+//! a sleeping agent is ticked only at its wake cycle or on a cycle whose
+//! completion it is `addressed` by; on every other executed cycle it is
+//! left alone, so one `absorb_skipped` call may span cycles in which
+//! other agents were ticked. Hence the rule both hooks rest on: ticking
+//! an agent before its wake, on a cycle that does not address it, must
+//! change nothing but what `absorb_skipped(1)` would account. The default
+//! `addressed` (every completion, and no completion, addresses the agent)
+//! keeps an agent that does not override it ticked on every executed
+//! cycle.
 
 use crate::engine::Control;
 use crate::rng::SimRng;
@@ -107,19 +120,39 @@ pub trait SimAgent<P: ?Sized, C = ()> {
     /// completion report for this cycle (agents must ignore completions
     /// addressed to other agents). The returned [`Control`] is the
     /// agent's verdict for the *engine*: [`Control::Continue`] to be
-    /// ticked every cycle, [`Control::Sleep`]`(t)` when nothing can
+    /// ticked on the next cycle, [`Control::Sleep`]`(t)` when nothing can
     /// happen before cycle `t` (mirroring [`SimAgent::wake_at`]), or
     /// [`Control::Stop`] to request that the whole simulation stop after
     /// this cycle (no shipped agent does; the hook exists for
     /// user-defined measurement agents).
+    ///
+    /// Under the events engine a sleeping agent is not ticked again
+    /// before `t` unless a cycle's completion is
+    /// [`addressed`](SimAgent::addressed) to it; the cycles in between
+    /// reach it through [`absorb_skipped`](SimAgent::absorb_skipped)
+    /// first.
     fn tick(&mut self, now: Cycle, completed: Option<&C>, port: &mut P) -> Control;
 
     /// The agent's sleep horizon, queried after its tick: the next cycle
     /// at which ticking it can have any effect, absent a completion
     /// addressed to it. `None` = must be ticked every cycle;
-    /// `Some(Cycle::MAX)` = only a completion can wake it.
+    /// `Some(Cycle::MAX)` = only a completion can wake it. The events
+    /// engine ticks the agent at this cycle, on cycles it is
+    /// [`addressed`](SimAgent::addressed) by, and on no other.
     fn wake_at(&self) -> Option<Cycle> {
         None
+    }
+
+    /// Whether the cycle's completion report `completion` (or its
+    /// absence, `None`) can make a sleeping agent act: the events engine
+    /// ticks an agent before its [`wake_at`](SimAgent::wake_at) cycle
+    /// only on cycles where this returns `true`. The default, `true`
+    /// for everything, ticks the agent on every executed cycle, which is
+    /// always safe; an agent that reacts only to its own completions
+    /// returns `completion.is_some_and(|c| c.core == my_core)`.
+    fn addressed(&self, completion: Option<&C>) -> bool {
+        let _ = completion;
+        true
     }
 
     /// Whether the agent's workload has finished. Infinite agents
@@ -131,10 +164,15 @@ pub trait SimAgent<P: ?Sized, C = ()> {
         None
     }
 
-    /// Accounts `skipped` engine-skipped cycles (see
-    /// [`SimAgent::wake_at`]): statistics must advance exactly as that
-    /// many unchanged ticks would have advanced them. Agents whose state
-    /// is already expressed in absolute cycles need nothing here.
+    /// Accounts `skipped` cycles in which the agent was not ticked, the
+    /// ones right after the last cycle it was ticked at or accounted for
+    /// (see [`SimAgent::wake_at`]): statistics must advance exactly as
+    /// that many unchanged ticks would have advanced them. The events
+    /// engine calls it lazily, before the agent's next tick, before a
+    /// limit-cycle signature is captured and at the end of the run, so
+    /// one call may span cycles the model skipped and executed cycles
+    /// on which other agents were ticked. Agents whose state is already
+    /// expressed in absolute cycles need nothing here.
     fn absorb_skipped(&mut self, skipped: u64) {
         let _ = skipped;
     }
@@ -210,6 +248,10 @@ impl<P: ?Sized, C> SimAgent<P, C> for Idle {
         Some(Cycle::MAX)
     }
 
+    fn addressed(&self, _completion: Option<&C>) -> bool {
+        false
+    }
+
     fn is_done(&self) -> bool {
         true
     }
@@ -242,6 +284,7 @@ mod tests {
         assert_eq!(verdict, Control::Sleep(Cycle::MAX));
         assert!(SimAgent::<(), u32>::is_done(&idle));
         assert_eq!(SimAgent::<(), u32>::wake_at(&idle), Some(Cycle::MAX));
+        assert!(!SimAgent::<(), u32>::addressed(&idle, Some(&3)));
         assert_eq!(SimAgent::<(), u32>::done_at(&idle), None);
         assert_eq!(SimAgent::<(), u32>::stats(&idle), AgentStats::default());
     }

@@ -150,16 +150,24 @@ impl<M: BusModel, P: Probe<M::Completion>> Simulation<M, P> {
     /// Drives the simulation to its stop condition (or the `max_cycles`
     /// safety limit) and returns the outcome.
     ///
-    /// Each executed cycle runs the model's `begin_cycle`, hands the
-    /// completion to every agent, runs `end_cycle` and checks the stop
-    /// condition. [`Engine::Naive`] executes every cycle;
-    /// [`Engine::Events`] adds two shortcuts, both bit-identical to it:
+    /// Each executed cycle runs the model's `begin_cycle`, ticks agents
+    /// with the cycle's completion, runs `end_cycle` and checks the stop
+    /// condition. [`Engine::Naive`] executes every cycle and ticks every
+    /// agent on it; [`Engine::Events`] adds three shortcuts, all
+    /// bit-identical to it:
     ///
-    /// * **event-horizon skipping** — when every agent sleeps and the
-    ///   model can bound its next event
+    /// * **due-only ticking** — on an executed cycle, an agent is ticked
+    ///   only if the cycle has reached its sleep horizon (its last tick's
+    ///   [`Control::Sleep`] cycle; [`Control::Continue`] means the next
+    ///   cycle) or the agent is [`addressed`](SimAgent::addressed) by the
+    ///   cycle's completion. The others sleep through the cycle; the
+    ///   cycles an agent was not ticked at reach it as one lazy
+    ///   [`SimAgent::absorb_skipped`] call before its next tick, before a
+    ///   limit-cycle signature is captured and at the end of the run;
+    /// * **event-horizon skipping** — when every agent sleeps past the
+    ///   next cycle and the model can bound its next event
     ///   ([`BusModel::next_event`]), the uneventful cycles in between are
-    ///   bulk-advanced ([`BusModel::advance`]) and replayed to the agents
-    ///   as [`SimAgent::absorb_skipped`];
+    ///   bulk-advanced ([`BusModel::advance`]);
     /// * **limit-cycle fast-forward** — when the model and every agent
     ///   are closed (their `signature` hooks return `true`) and no active
     ///   probe is attached, decided once per run, the loop records the
@@ -253,9 +261,15 @@ where
     // Inert agents (permanently-done no-ops, e.g. idle cores) are
     // dropped from the per-cycle loop up front: their tick/absorb
     // are no-ops and their sleep horizon is unbounded by contract.
-    let active: Vec<usize> = (0..agents.len())
+    let mut slots: Vec<Slot> = (0..agents.len())
         .filter(|&i| !agents[i].is_inert())
+        .map(|index| Slot {
+            index,
+            wake: 0,
+            accounted: 0,
+        })
         .collect();
+    let active: Vec<usize> = slots.iter().map(|slot| slot.index).collect();
     // Whether the run can fast-forward at all is decided here, once: the
     // model and every active agent must be closed.
     let mut limit_cycle = (events && !P::ACTIVE)
@@ -269,7 +283,6 @@ where
     }
     .min(max_cycles.saturating_sub(1));
     let mut now: Cycle = 0;
-    let mut prev: Option<Cycle> = None;
     let mut stopped = false;
     while now < max_cycles {
         let completed = model.begin_cycle(now);
@@ -278,30 +291,30 @@ where
                 probe.on_completion(now, c);
             }
         }
-        // Replay per-cycle accounting for the cycles the fast path
-        // skipped since the last executed cycle.
-        if let Some(prev) = prev {
-            let skipped = now - prev - 1;
-            if skipped > 0 {
-                for &i in &active {
-                    agents[i].absorb_skipped(skipped);
-                }
-            }
-        }
-        prev = Some(now);
-        // The tick verdicts carry each agent's sleep horizon (the
-        // trait contract: the verdict mirrors `wake_at`, which
-        // depends only on the agent's own state), so one pass both
-        // ticks and aggregates — no second virtual-dispatch sweep.
+        // Tick the agents that are due or addressed, in insertion order;
+        // the others sleep through this cycle and absorb it later. The
+        // tick verdicts carry each ticked agent's sleep horizon (the
+        // trait contract: the verdict mirrors `wake_at`), so one pass
+        // ticks and aggregates.
         let mut agent_stop = false;
         let mut until = Cycle::MAX;
-        let mut can_sleep = true;
-        for &i in &active {
-            match agents[i].tick(now, completed.as_ref(), model) {
-                Control::Stop => agent_stop = true,
-                Control::Continue => can_sleep = false,
-                Control::Sleep(t) => until = until.min(t),
+        for slot in &mut slots {
+            let agent = &mut agents[slot.index];
+            if events && slot.wake > now && !agent.addressed(completed.as_ref()) {
+                until = until.min(slot.wake);
+                continue;
             }
+            slot.absorb_through(now, agent);
+            slot.wake = match agent.tick(now, completed.as_ref(), model) {
+                Control::Sleep(t) => t,
+                Control::Continue => now + 1,
+                Control::Stop => {
+                    agent_stop = true;
+                    now + 1
+                }
+            };
+            slot.accounted = now + 1;
+            until = until.min(slot.wake);
         }
         let granted = model.end_cycle(now);
         if P::ACTIVE {
@@ -325,15 +338,22 @@ where
         }
         if let (Some(lc), Some(core)) = (&mut limit_cycle, granted) {
             if *lc.core.get_or_insert(core) == core {
+                // The signature reads every agent's counters as of the
+                // end of this cycle.
+                for slot in &mut slots {
+                    slot.absorb_through(now + 1, &mut agents[slot.index]);
+                }
                 if let Some(span) = lc.sample(now, ff_limit, model, agents, &active) {
                     now += span;
-                    prev = Some(now);
-                    // The pre-jump sleep horizons are stale; an agent
-                    // without one (`None`) forbids skipping.
-                    until = active
-                        .iter()
-                        .map(|&i| agents[i].wake_at().unwrap_or(0))
-                        .fold(Cycle::MAX, Cycle::min);
+                    // The shift accounted the jumped cycles, and the
+                    // pre-jump sleep horizons are stale; an agent without
+                    // one (`None`) forbids skipping.
+                    until = Cycle::MAX;
+                    for slot in &mut slots {
+                        slot.accounted = now + 1;
+                        slot.wake = agents[slot.index].wake_at().unwrap_or(now + 1);
+                        until = until.min(slot.wake);
+                    }
                 }
             }
         }
@@ -343,7 +363,7 @@ where
                 // skip it.
                 until = until.min(h - 1);
             }
-            if can_sleep && until > now + 1 {
+            if until > now + 1 {
                 if let Some(event) = model.next_event(now) {
                     let jump = event.min(until).min(max_cycles);
                     if jump > now + 1 {
@@ -356,16 +376,10 @@ where
         }
         now += 1;
     }
-    // A run that hits max_cycles mid-skip ends without another tick;
-    // absorb the tail so agent statistics stay bit-identical to the
-    // per-cycle loop.
-    if let Some(prev) = prev {
-        let tail = (now - 1).saturating_sub(prev);
-        if tail > 0 {
-            for &i in &active {
-                agents[i].absorb_skipped(tail);
-            }
-        }
+    // Agents account lazily: bring every one up to the end of the run so
+    // its statistics equal the per-cycle loop's.
+    for slot in &mut slots {
+        slot.absorb_through(now, &mut agents[slot.index]);
     }
     if P::ACTIVE {
         // A run truncated mid-skip leaves events buffered by the
@@ -377,6 +391,30 @@ where
     DriveOutcome {
         cycles: now,
         stopped,
+    }
+}
+
+/// The events loop's book-keeping for one active agent.
+struct Slot {
+    /// The agent's index in the run's agent list.
+    index: usize,
+    /// The next cycle the agent is due: its last verdict's horizon.
+    wake: Cycle,
+    /// The first cycle not yet ticked or absorbed.
+    accounted: Cycle,
+}
+
+impl Slot {
+    /// Replays the cycles before `end` the agent was not ticked at.
+    fn absorb_through<A: DerefMut<Target = T>, T: ?Sized + SimAgent<M, C>, M, C>(
+        &mut self,
+        end: Cycle,
+        agent: &mut A,
+    ) {
+        if end > self.accounted {
+            agent.absorb_skipped(end - self.accounted);
+            self.accounted = end;
+        }
     }
 }
 
@@ -599,7 +637,7 @@ impl<M: BusModel, P: Probe<M::Completion>> SimulationBuilder<M, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agent::Idle;
+    use crate::agent::{AgentStats, Idle};
     use crate::engine::tests::OneShot;
     use crate::rng::SimRng;
     use crate::CoreId;
@@ -611,6 +649,7 @@ mod tests {
         waiting: bool,
         done_at: Option<Cycle>,
         skipped_seen: u64,
+        ticked: u64,
     }
 
     impl Periodic {
@@ -621,12 +660,14 @@ mod tests {
                 waiting: false,
                 done_at: None,
                 skipped_seen: 0,
+                ticked: 0,
             }
         }
     }
 
     impl SimAgent<OneShot, Cycle> for Periodic {
         fn tick(&mut self, now: Cycle, completed: Option<&Cycle>, bus: &mut OneShot) -> Control {
+            self.ticked += 1;
             if completed.is_some() && self.waiting {
                 self.waiting = false;
                 if self.left == 0 && self.done_at.is_none() {
@@ -650,6 +691,11 @@ mod tests {
             }
         }
 
+        /// The only poster on the model: every completion is its own.
+        fn addressed(&self, completion: Option<&Cycle>) -> bool {
+            completion.is_some()
+        }
+
         fn is_done(&self) -> bool {
             self.left == 0 && !self.waiting
         }
@@ -660,6 +706,14 @@ mod tests {
 
         fn absorb_skipped(&mut self, skipped: u64) {
             self.skipped_seen += skipped;
+        }
+
+        fn stats(&self) -> AgentStats {
+            AgentStats {
+                busy_cycles: self.ticked,
+                bus_stall_cycles: self.skipped_seen,
+                ..Default::default()
+            }
         }
 
         fn reset(&mut self, _rng: &mut SimRng) {
@@ -694,6 +748,47 @@ mod tests {
         assert_eq!(naive_sim.model().skipped, 0, "naive path never skips");
         // Skipped-cycle accounting reaches the agents.
         assert!(fast_sim.outcome().is_some());
+    }
+
+    /// Ticked on every cycle, never done.
+    struct Ticker;
+
+    impl SimAgent<OneShot, Cycle> for Ticker {
+        fn tick(&mut self, _now: Cycle, _completed: Option<&Cycle>, _bus: &mut OneShot) -> Control {
+            Control::Continue
+        }
+
+        fn is_done(&self) -> bool {
+            false
+        }
+
+        fn reset(&mut self, _rng: &mut SimRng) {}
+    }
+
+    #[test]
+    fn sleeping_agents_absorb_every_cycle_they_sat_out() {
+        for engine in [Engine::Naive, Engine::Events] {
+            let mut sim = Simulation::builder()
+                .model(OneShot::new())
+                .agent(Periodic::new(5))
+                .agent(Ticker)
+                .stop(StopWhen::AgentDone(0))
+                .engine(engine)
+                .max_cycles(10_000)
+                .build();
+            let outcome = sim.run();
+            // Ticked cycles and absorbed ones, as its stats report them.
+            let seen = sim.agent(0).stats();
+            assert_eq!(
+                seen.busy_cycles + seen.bus_stall_cycles,
+                outcome.cycles,
+                "{engine:?}: every cycle of the run reaches the agent once"
+            );
+            if engine == Engine::Events {
+                assert!(seen.bus_stall_cycles > 0, "it sat out cycles");
+                assert_eq!(sim.model().skipped, 0, "the ticker allows no skip");
+            }
+        }
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //!
 //! 1. **Wake honesty** — an agent sleeping until its declared
 //!    [`wake_at`](sim_core::SimAgent::wake_at) never posts earlier:
-//!    ticking it only at wake cycles (plus its completion cycles, which
-//!    always wake it) produces the *exact* post stream of ticking it
-//!    every cycle. This is the property the event-horizon engine's
-//!    bit-identity guarantee reduces to on the client side.
+//!    ticking it only at wake cycles and on cycles whose completion it is
+//!    [`addressed`](sim_core::SimAgent::addressed) by produces the
+//!    *exact* post stream and statistics of ticking it every cycle, even
+//!    while a saturating neighbour fills the bus with foreign
+//!    completions. This is the property the events engine's due-only
+//!    ticking and bit-identity guarantee reduce to on the client side.
 //! 2. **Reset ≡ fresh** — [`reset`](sim_core::SimAgent::reset) through
 //!    the trait restores a fresh-construction agent: re-running the same
 //!    workload yields identical post streams and statistics.
@@ -14,11 +16,15 @@
 //! Agents are built through the [`AgentRegistry`], so the suite also
 //! pins the registry's kind coverage.
 
-use cba_bus::{Bus, BusConfig, BusError, BusRequest, PolicyKind, RequestPort};
+use cba_bus::{
+    Bus, BusConfig, BusError, BusRequest, CompletedTransaction, PolicyKind, RequestKind,
+    RequestPort,
+};
+use cba_cpu::Contender;
 use cba_platform::agents::{default_registry, BoxedPortAgent};
 use cba_platform::{BusSetup, CoreLoad, PlatformConfig};
 use sim_core::rng::SimRng;
-use sim_core::{AgentStats, CoreId, Cycle};
+use sim_core::{AgentStats, Control, CoreId, Cycle, SimAgent};
 
 /// A request port that records every accepted post before forwarding it
 /// to the real bus.
@@ -105,63 +111,87 @@ fn build(load: &CoreLoad, seed: u64) -> BoxedPortAgent {
         .unwrap_or_else(|e| panic!("{load}: {e}"))
 }
 
-/// Ticks `agent` every cycle for `horizon` cycles; returns the post log
-/// and the final stats.
+/// The agent under test posts as core 0; a saturating contender on core
+/// 1 keeps the bus busy with foreign completions.
+const NEIGHBOUR: usize = 1;
+
+/// The posts of the agent under test, as `(cycle, core, duration)`.
+fn own_posts(port: SpyPort) -> Vec<(Cycle, usize, u32)> {
+    let mut posts = port.posts;
+    posts.retain(|&(_, core, _)| core != NEIGHBOUR);
+    posts
+}
+
+/// Ticks `agent` and the neighbour every cycle for `horizon` cycles;
+/// returns the agent's post log and its final stats.
 fn drive_dense(
     agent: &mut BoxedPortAgent,
     horizon: Cycle,
 ) -> (Vec<(Cycle, usize, u32)>, AgentStats) {
-    let mut port = SpyPort::new(1);
+    let mut port = SpyPort::new(2);
+    let mut neighbour = Contender::new(CoreId::from_index(NEIGHBOUR), 56);
     for now in 0..horizon {
         let done = port.bus.begin_cycle(now);
         agent.tick(now, done.as_ref(), &mut port);
+        neighbour.tick(now, done.as_ref(), &mut port);
         port.bus.end_cycle(now);
     }
-    (port.posts, agent.stats())
+    (own_posts(port), agent.stats())
 }
 
-/// Ticks `agent` only at its declared wake cycles and the bus's event
-/// cycles (the event engine's visiting pattern); returns the post log
-/// and how many cycles were actually visited.
+/// The next cycle a client ticked at `now` is due, from its verdict: an
+/// agent demanding every cycle gets every cycle.
+fn due_after(verdict: Control, now: Cycle) -> Cycle {
+    match verdict {
+        Control::Sleep(t) => t,
+        Control::Continue | Control::Stop => now + 1,
+    }
+}
+
+/// Visits cycles the way the events engine does: the next wake of
+/// either client or the bus's next event. On a visited cycle the agent
+/// is ticked only when it is due or `addressed` by the cycle's
+/// completion, after absorbing the cycles since its last tick. Returns
+/// the agent's post log and how many times it was ticked.
 fn drive_sparse(agent: &mut BoxedPortAgent, horizon: Cycle) -> (Vec<(Cycle, usize, u32)>, u64) {
-    let mut port = SpyPort::new(1);
+    let mut port = SpyPort::new(2);
+    let mut neighbour: Box<dyn SimAgent<SpyPort, CompletedTransaction>> =
+        Box::new(Contender::new(CoreId::from_index(NEIGHBOUR), 56));
+    let (mut wake, mut accounted, mut ticked) = (0, 0, 0u64);
+    let mut neighbour_wake = 0;
     let mut now: Cycle = 0;
-    let mut prev: Option<Cycle> = None;
-    let mut visited = 0u64;
     while now < horizon {
         let done = port.bus.begin_cycle(now);
-        if let Some(p) = prev {
-            let skipped = now - p - 1;
-            if skipped > 0 {
-                agent.absorb_skipped(skipped);
+        if wake <= now || agent.addressed(done.as_ref()) {
+            if now > accounted {
+                agent.absorb_skipped(now - accounted);
             }
+            wake = due_after(agent.tick(now, done.as_ref(), &mut port), now);
+            accounted = now + 1;
+            ticked += 1;
         }
-        prev = Some(now);
-        agent.tick(now, done.as_ref(), &mut port);
+        if neighbour_wake <= now || neighbour.addressed(done.as_ref()) {
+            neighbour_wake = due_after(neighbour.tick(now, done.as_ref(), &mut port), now);
+        }
         port.bus.end_cycle(now);
-        visited += 1;
-        let next = match (agent.wake_at(), port.bus.next_event(now)) {
-            // An agent demanding every cycle gets every cycle.
-            (None, _) => now + 1,
-            // Sleep until the agent's wake or the bus's next event
-            // (completions wake the agent), whichever is first.
-            (Some(w), Some(ev)) => w.min(ev).max(now + 1),
-            // A bus that cannot predict forces per-cycle stepping.
-            (Some(_), None) => now + 1,
-        };
-        now = next.min(horizon);
-    }
-    if let Some(p) = prev {
-        let tail = horizon.saturating_sub(1).saturating_sub(p);
-        if tail > 0 {
-            agent.absorb_skipped(tail);
+        let next = wake.min(neighbour_wake).max(now + 1);
+        // A bus that cannot predict forces per-cycle stepping.
+        now = match port.bus.next_event(now) {
+            Some(event) => next.min(event),
+            None => now + 1,
         }
+        .max(now + 1)
+        .min(horizon);
     }
-    (port.posts, visited)
+    if horizon > accounted {
+        agent.absorb_skipped(horizon - accounted);
+    }
+    (own_posts(port), ticked)
 }
 
-/// Contract 1: sleeping until `wake_at` loses nothing — and in
-/// particular the agent never needed a cycle before its declared wake.
+/// Contract 1: sleeping until `wake_at`, ticked early only when a
+/// completion addresses it, loses nothing — and in particular the agent
+/// never needed a cycle before its declared wake.
 #[test]
 fn sleeping_until_wake_at_never_changes_the_post_stream() {
     const HORIZON: Cycle = 6_000;
@@ -169,22 +199,50 @@ fn sleeping_until_wake_at_never_changes_the_post_stream() {
         let mut dense = build(&load, 11);
         let (dense_posts, dense_stats) = drive_dense(&mut dense, HORIZON);
         let mut sparse = build(&load, 11);
-        let (sparse_posts, visited) = drive_sparse(&mut sparse, HORIZON);
+        let (sparse_posts, ticked) = drive_sparse(&mut sparse, HORIZON);
         assert_eq!(
             dense_posts, sparse_posts,
-            "'{load}': sparse ticking at wake cycles must reproduce the dense post stream"
+            "'{load}': due-only ticking must reproduce the dense post stream"
         );
         assert_eq!(
             dense_stats,
             sparse.stats(),
-            "'{load}': stats must survive skipped-cycle absorption"
+            "'{load}': stats must survive lazily absorbed cycles"
         );
         if !matches!(load, CoreLoad::Saturating { .. }) {
             assert!(
-                visited < HORIZON,
-                "'{load}': agent declared no sleepable cycle in {HORIZON}"
+                ticked < HORIZON / 2,
+                "'{load}': ticked on {ticked} of {HORIZON} cycles"
             );
         }
+    }
+}
+
+/// Every shipped kind overrides `addressed`: a sleeping agent is woken
+/// by its own completions only, never by a neighbour's or by a cycle
+/// without one.
+#[test]
+fn every_shipped_kind_is_addressed_by_its_own_completions_only() {
+    let completion = |core: usize| CompletedTransaction {
+        core: CoreId::from_index(core),
+        kind: RequestKind::Synthetic,
+        duration: 6,
+    };
+    for load in shipped_loads() {
+        let agent = build(&load, 3);
+        assert!(
+            !agent.addressed(None),
+            "'{load}': woken without a completion"
+        );
+        assert!(
+            !agent.addressed(Some(&completion(NEIGHBOUR))),
+            "'{load}': woken by a foreign completion"
+        );
+        assert_eq!(
+            agent.addressed(Some(&completion(0))),
+            !agent.is_inert(),
+            "'{load}': its own completion must wake it"
+        );
     }
 }
 
