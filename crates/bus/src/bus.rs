@@ -19,6 +19,7 @@
 //! [`BusModel::tick`](sim_core::BusModel::tick) bundles both phases for
 //! simple clients that post between ticks.
 
+use crate::dispatch::{BusPolicy, BusRng};
 use crate::pending::{Candidate, PendingSet};
 use crate::policy::{ArbitrationPolicy, EligibilityFilter, NoFilter, RandomSource};
 use crate::{BusError, BusRequest, RequestKind};
@@ -163,14 +164,19 @@ impl WaitStats {
 ///
 /// See the [module documentation](self) for the cycle protocol and the
 /// [crate documentation](crate) for a usage example.
+///
+/// The eligibility filter is the type parameter `F`. The default, `Bus`,
+/// holds a boxed filter that [`Bus::set_filter`] replaces at run time;
+/// [`Bus::assemble`] builds a bus over any concrete filter type, whose
+/// calls then need no virtual dispatch (see [`crate::dispatch`]).
 #[derive(Debug)]
-pub struct Bus {
+pub struct Bus<F = Box<dyn EligibilityFilter>> {
     config: BusConfig,
     state: BusState,
     pending: PendingSet,
-    policy: Box<dyn ArbitrationPolicy>,
-    filter: Box<dyn EligibilityFilter>,
-    rng: Box<dyn RandomSource>,
+    policy: BusPolicy,
+    filter: F,
+    rng: BusRng,
     trace: GrantTrace,
     wait: WaitStats,
     idle_cycles: u64,
@@ -212,12 +218,34 @@ impl Bus {
     /// filter, a deterministic default random source (seed 0) and a
     /// counting-only grant trace.
     pub fn new(config: BusConfig, policy: Box<dyn ArbitrationPolicy>) -> Self {
+        Bus::assemble(
+            config,
+            BusPolicy::Custom(policy),
+            Box::new(NoFilter::new()),
+            BusRng::Soft(SimRng::seed_from(0)),
+        )
+    }
+
+    /// Replaces the eligibility filter (e.g. with a CBA credit filter).
+    pub fn set_filter(&mut self, filter: Box<dyn EligibilityFilter>) {
+        self.filter = filter;
+        if self.flip_watch.is_some() {
+            // Re-baseline the flip watcher against the new filter.
+            self.enable_flip_probe();
+        }
+    }
+}
+
+impl<F: EligibilityFilter> Bus<F> {
+    /// Creates a bus from its parts: arbitration policy, eligibility
+    /// filter and random source, with a counting-only grant trace.
+    pub fn assemble(config: BusConfig, policy: BusPolicy, filter: F, rng: BusRng) -> Self {
         Bus {
             state: BusState::Idle,
             pending: PendingSet::new(config.n_cores),
             policy,
-            filter: Box::new(NoFilter::new()),
-            rng: Box::new(SimRng::seed_from(0)),
+            filter,
+            rng,
             trace: GrantTrace::counting(config.n_cores),
             wait: WaitStats::new(config.n_cores),
             idle_cycles: 0,
@@ -228,15 +256,6 @@ impl Bus {
             last_cycle: None,
             flip_watch: None,
             config,
-        }
-    }
-
-    /// Replaces the eligibility filter (e.g. with a CBA credit filter).
-    pub fn set_filter(&mut self, filter: Box<dyn EligibilityFilter>) {
-        self.filter = filter;
-        if self.flip_watch.is_some() {
-            // Re-baseline the flip watcher against the new filter.
-            self.enable_flip_probe();
         }
     }
 
@@ -288,7 +307,7 @@ impl Bus {
 
     /// Replaces the random-bit source used by randomized policies.
     pub fn set_random_source(&mut self, rng: Box<dyn RandomSource>) {
-        self.rng = rng;
+        self.rng = BusRng::Custom(rng);
     }
 
     /// Switches to a full recording trace (stores every grant).
@@ -492,7 +511,7 @@ impl Bus {
                 self.pending.candidates_into(&mut self.scratch);
                 let filter = &self.filter;
                 self.scratch.retain(|c| filter.is_eligible(c.core, now));
-                if let Some(winner) = self.policy.select(&self.scratch, now, self.rng.as_mut()) {
+                if let Some(winner) = self.policy.select(&self.scratch, now, &mut self.rng) {
                     let req = self
                         .pending
                         .remove(winner)
@@ -635,7 +654,7 @@ impl Bus {
 /// The non-split bus speaks the workspace-wide cycle protocol directly:
 /// requests carry their own [`CoreId`], completions are
 /// [`CompletedTransaction`]s.
-impl sim_core::BusModel for Bus {
+impl<F: EligibilityFilter> sim_core::BusModel for Bus<F> {
     type Request = BusRequest;
     type Completion = CompletedTransaction;
     type Error = BusError;

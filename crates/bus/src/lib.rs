@@ -3,6 +3,7 @@
 #![warn(missing_docs)]
 
 pub mod bus;
+pub mod dispatch;
 pub mod fabric;
 pub mod pending;
 pub mod policies;
@@ -10,6 +11,7 @@ pub mod policy;
 pub mod split;
 
 pub use bus::{Bus, BusConfig, BusState, CompletedTransaction, TickOutcome, WaitStats};
+pub use dispatch::{BusPolicy, BusRng};
 pub use fabric::{Fabric, FabricConfig};
 pub use pending::{Candidate, PendingSet};
 pub use policy::{
@@ -215,7 +217,7 @@ pub trait RequestPort {
     fn can_accept(&self, core: CoreId) -> bool;
 }
 
-impl RequestPort for Bus {
+impl<F: EligibilityFilter> RequestPort for Bus<F> {
     fn post(&mut self, req: BusRequest) -> Result<(), BusError> {
         Bus::post(self, req)
     }

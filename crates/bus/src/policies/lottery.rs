@@ -61,18 +61,15 @@ impl Lottery {
             Some(t) => t.get(core).copied().unwrap_or(1),
         }
     }
-}
 
-impl ArbitrationPolicy for Lottery {
-    fn name(&self) -> &'static str {
-        "LOT"
-    }
-
-    fn select(
+    /// [`ArbitrationPolicy::select`], generic over the random source: the
+    /// trait impl runs it on `dyn RandomSource`, the bus's
+    /// [`BusPolicy`](crate::BusPolicy) on its own concrete source.
+    #[inline]
+    pub(crate) fn select_with<R: RandomSource + ?Sized>(
         &mut self,
         candidates: &[Candidate],
-        _now: Cycle,
-        rng: &mut dyn RandomSource,
+        rng: &mut R,
     ) -> Option<CoreId> {
         if candidates.is_empty() {
             return None;
@@ -96,6 +93,21 @@ impl ArbitrationPolicy for Lottery {
             draw -= t;
         }
         unreachable!("draw below total tickets always lands on a candidate")
+    }
+}
+
+impl ArbitrationPolicy for Lottery {
+    fn name(&self) -> &'static str {
+        "LOT"
+    }
+
+    fn select(
+        &mut self,
+        candidates: &[Candidate],
+        _now: Cycle,
+        rng: &mut dyn RandomSource,
+    ) -> Option<CoreId> {
+        self.select_with(candidates, rng)
     }
 }
 

@@ -77,7 +77,7 @@ impl RandomPermutation {
 
     /// Draws a fresh permutation with Fisher–Yates using the arbiter's
     /// random source (bit-bank or software RNG).
-    fn new_round(&mut self, rng: &mut dyn RandomSource) {
+    fn new_round<R: RandomSource + ?Sized>(&mut self, rng: &mut R) {
         for i in 0..self.n_cores {
             self.order[i] = i;
         }
@@ -105,6 +105,29 @@ impl RandomPermutation {
             .map(|&idx| CoreId::from_index(idx))
     }
 
+    /// [`ArbitrationPolicy::select`], generic over the random source: the
+    /// trait impl runs it on `dyn RandomSource`, the bus's
+    /// [`BusPolicy`](crate::BusPolicy) on its own concrete source.
+    #[inline]
+    pub(crate) fn select_with<R: RandomSource + ?Sized>(
+        &mut self,
+        candidates: &[Candidate],
+        rng: &mut R,
+    ) -> Option<CoreId> {
+        if candidates.is_empty() {
+            return None;
+        }
+        if self.round_active {
+            if let Some(core) = self.pick(candidates) {
+                return Some(core);
+            }
+            // All pending cores were already served this round: start the
+            // next round (work conservation).
+        }
+        self.new_round(rng);
+        self.pick(candidates)
+    }
+
     /// Cores already served in the current round, indexed by core (for
     /// tests/inspection).
     pub fn served(&self) -> Vec<bool> {
@@ -125,18 +148,7 @@ impl ArbitrationPolicy for RandomPermutation {
         _now: Cycle,
         rng: &mut dyn RandomSource,
     ) -> Option<CoreId> {
-        if candidates.is_empty() {
-            return None;
-        }
-        if self.round_active {
-            if let Some(core) = self.pick(candidates) {
-                return Some(core);
-            }
-            // All pending cores were already served this round: start the
-            // next round (work conservation).
-        }
-        self.new_round(rng);
-        self.pick(candidates)
+        self.select_with(candidates, rng)
     }
 
     fn on_grant(&mut self, core: CoreId, _now: Cycle) {

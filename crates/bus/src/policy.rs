@@ -10,9 +10,12 @@
 //! 2. an [`ArbitrationPolicy`] picks one winner among the eligible
 //!    candidates ("then, any arbitration policy can be applied").
 //!
-//! Both stages are trait objects so that platforms can be assembled from
-//! configuration; both are sequential state machines driven by the bus.
+//! Both stages are traits so that platforms can be assembled from
+//! configuration; both are sequential state machines driven by the bus,
+//! which holds its built-in policies and random sources in the enums of
+//! [`crate::dispatch`] and its filter as a type parameter.
 
+use crate::dispatch::BusPolicy;
 use crate::pending::{Candidate, PendingSet};
 use sim_core::lfsr::LfsrBank;
 use sim_core::rng::SimRng;
@@ -300,16 +303,36 @@ impl PolicyKind {
     ///
     /// Panics if `n_cores == 0` or `max_latency == 0`.
     pub fn build(self, n_cores: usize, max_latency: u32) -> Box<dyn ArbitrationPolicy> {
+        match self.bus_policy(n_cores, max_latency) {
+            BusPolicy::Fifo(p) => Box::new(p),
+            BusPolicy::RoundRobin(p) => Box::new(p),
+            BusPolicy::Tdma(p) => Box::new(p),
+            BusPolicy::Lottery(p) => Box::new(p),
+            BusPolicy::RandomPermutation(p) => Box::new(p),
+            BusPolicy::FixedPriority(p) => Box::new(p),
+            BusPolicy::Custom(p) => p,
+        }
+    }
+
+    /// [`PolicyKind::build`] into the bus's own policy slot, whose calls
+    /// need no virtual dispatch (see [`crate::dispatch`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_cores == 0` or `max_latency == 0`.
+    pub fn bus_policy(self, n_cores: usize, max_latency: u32) -> BusPolicy {
         assert!(n_cores > 0, "n_cores must be positive");
         assert!(max_latency > 0, "max_latency must be positive");
         use crate::policies::*;
         match self {
-            PolicyKind::Fifo => Box::new(Fifo::new()),
-            PolicyKind::RoundRobin => Box::new(RoundRobin::new(n_cores)),
-            PolicyKind::Tdma => Box::new(Tdma::new(n_cores, max_latency)),
-            PolicyKind::Lottery => Box::new(Lottery::uniform()),
-            PolicyKind::RandomPermutation => Box::new(RandomPermutation::new(n_cores)),
-            PolicyKind::FixedPriority => Box::new(FixedPriority::new()),
+            PolicyKind::Fifo => BusPolicy::Fifo(Fifo::new()),
+            PolicyKind::RoundRobin => BusPolicy::RoundRobin(RoundRobin::new(n_cores)),
+            PolicyKind::Tdma => BusPolicy::Tdma(Tdma::new(n_cores, max_latency)),
+            PolicyKind::Lottery => BusPolicy::Lottery(Lottery::uniform()),
+            PolicyKind::RandomPermutation => {
+                BusPolicy::RandomPermutation(RandomPermutation::new(n_cores))
+            }
+            PolicyKind::FixedPriority => BusPolicy::FixedPriority(FixedPriority::new()),
         }
     }
 

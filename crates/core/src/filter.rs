@@ -11,7 +11,7 @@
 
 use crate::config::CreditConfig;
 use crate::credit::CreditCounter;
-use cba_bus::{EligibilityFilter, FilterHorizon, PendingSet};
+use cba_bus::{EligibilityFilter, FilterHorizon, NoFilter, PendingSet};
 use sim_core::{CoreId, Cycle};
 
 /// Platform operating mode (paper, Section III.C).
@@ -297,6 +297,87 @@ impl EligibilityFilter for CreditFilter {
         let cells = self.counters.iter().zip(&self.comp);
         state.extend(cells.flat_map(|(counter, &comp)| [counter.value(), comp as u64]));
         true
+    }
+}
+
+/// The filter slot of a platform bus: no filter (the "RP" baseline) or
+/// the credit filter.
+///
+/// The credit filter lives in this crate, downstream of `cba-bus`, so the
+/// bus cannot hold it in an enum of its own; it takes its filter as a type
+/// parameter instead, and `Bus<BusFilter>` runs either setup with direct,
+/// inlinable calls.
+///
+/// # Example
+///
+/// ```
+/// use cba::{BusFilter, CreditConfig, CreditFilter};
+/// use cba_bus::{Bus, BusConfig, BusRng, PolicyKind};
+/// use sim_core::rng::SimRng;
+///
+/// let cfg = CreditConfig::homogeneous(4, 56)?;
+/// let bus = Bus::assemble(
+///     BusConfig::new(4, 56).unwrap(),
+///     PolicyKind::RandomPermutation.bus_policy(4, 56),
+///     BusFilter::Credit(CreditFilter::new(cfg)),
+///     BusRng::Soft(SimRng::seed_from(1)),
+/// );
+/// assert_eq!(bus.filter_name(), "CBA");
+/// # Ok::<(), cba::CbaError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub enum BusFilter {
+    /// Every pending request is eligible.
+    Unfiltered(NoFilter),
+    /// Credit-based arbitration.
+    Credit(CreditFilter),
+}
+
+/// Runs `$body` with `$f` bound to the filter inside either arm.
+macro_rules! each_filter {
+    ($filter:expr, $f:ident => $body:expr) => {
+        match $filter {
+            BusFilter::Unfiltered($f) => $body,
+            BusFilter::Credit($f) => $body,
+        }
+    };
+}
+
+impl EligibilityFilter for BusFilter {
+    fn name(&self) -> &'static str {
+        each_filter!(self, f => f.name())
+    }
+
+    #[inline]
+    fn is_eligible(&self, core: CoreId, now: Cycle) -> bool {
+        each_filter!(self, f => f.is_eligible(core, now))
+    }
+
+    #[inline]
+    fn on_grant(&mut self, core: CoreId, duration: u32, now: Cycle) {
+        each_filter!(self, f => f.on_grant(core, duration, now))
+    }
+
+    #[inline]
+    fn tick(&mut self, now: Cycle, owner: Option<CoreId>, pending: &PendingSet) {
+        each_filter!(self, f => f.tick(now, owner, pending))
+    }
+
+    #[inline]
+    fn advance(&mut self, now: Cycle, k: u64, owner: Option<CoreId>, pending: &PendingSet) {
+        each_filter!(self, f => f.advance(now, k, owner, pending))
+    }
+
+    fn next_eligibility_flip(&self, now: Cycle, pending: &PendingSet) -> FilterHorizon {
+        each_filter!(self, f => f.next_eligibility_flip(now, pending))
+    }
+
+    fn reset(&mut self) {
+        each_filter!(self, f => f.reset())
+    }
+
+    fn signature(&self, state: &mut Vec<u64>) -> bool {
+        each_filter!(self, f => f.signature(state))
     }
 }
 

@@ -11,5 +11,5 @@ pub mod signals;
 pub use config::{BandwidthWeights, CbaError, CreditConfig};
 pub use cost::HardwareCost;
 pub use credit::CreditCounter;
-pub use filter::{CreditFilter, Mode};
+pub use filter::{BusFilter, CreditFilter, Mode};
 pub use signals::SignalTable;

@@ -157,6 +157,10 @@ const INVALID: Line = Line {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
+    /// `log2(line_bytes)`: an address's line is `addr >> line_shift`.
+    line_shift: u32,
+    /// `sets - 1`: a hash's set is `hash & set_mask`.
+    set_mask: u64,
     lines: Vec<Line>,
     seed: u64,
     tick: u64,
@@ -174,7 +178,11 @@ impl SetAssocCache {
     /// Propagates [`CacheConfig::validate`] failures.
     pub fn new(config: CacheConfig, rng: &mut SimRng) -> Result<Self, MemError> {
         config.validate()?;
+        // Both are validated powers of two, so shift and mask divide and
+        // reduce exactly.
         Ok(SetAssocCache {
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_mask: config.sets as u64 - 1,
             lines: vec![INVALID; config.sets * config.ways],
             seed: rng.next_u64(),
             tick: 0,
@@ -221,13 +229,13 @@ impl SetAssocCache {
 
     #[inline]
     fn line_addr(&self, addr: u64) -> u64 {
-        addr / self.config.line_bytes as u64
+        addr >> self.line_shift
     }
 
     #[inline]
     fn set_of(&self, line_addr: u64) -> usize {
         match self.config.placement {
-            Placement::Modulo => (line_addr % self.config.sets as u64) as usize,
+            Placement::Modulo => (line_addr & self.set_mask) as usize,
             Placement::Random => {
                 // splitmix-style seeded hash: a different seed yields an
                 // (effectively) independent placement function.
@@ -235,11 +243,12 @@ impl SetAssocCache {
                 z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
                 z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
                 z ^= z >> 31;
-                (z % self.config.sets as u64) as usize
+                (z & self.set_mask) as usize
             }
         }
     }
 
+    #[inline]
     fn probe(&mut self, addr: u64) -> (usize, Option<usize>) {
         let line_addr = self.line_addr(addr);
         let set = self.set_of(line_addr);
@@ -528,6 +537,55 @@ mod tests {
         c.read(0x0, &mut rng);
         c.read(0x0, &mut rng);
         assert!((c.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
+    }
+
+    /// The set and tag of `addr` by division, as the cache computed them
+    /// before it precomputed a shift and a mask.
+    fn reference_set_and_tag(c: &SetAssocCache, addr: u64) -> (usize, u64) {
+        let line = addr / c.config.line_bytes as u64;
+        let hash = match c.config.placement {
+            Placement::Modulo => line,
+            Placement::Random => {
+                let mut z = line ^ c.seed;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            }
+        };
+        ((hash % c.config.sets as u64) as usize, line)
+    }
+
+    #[test]
+    fn set_index_and_tag_match_the_division_reference() {
+        let memory = crate::MemoryConfig::default().hierarchy();
+        let hierarchies = [crate::HierarchyConfig::paper(), memory];
+        let shipped = hierarchies
+            .iter()
+            .flat_map(|h| [h.l1i, h.l1d, h.l2_partition]);
+        let swept = (0..=12).flat_map(|k| {
+            [1, 16, 64].map(|line_bytes| CacheConfig {
+                sets: 1 << k,
+                line_bytes,
+                ..CacheConfig::paper_l1()
+            })
+        });
+        let mut addrs = SimRng::seed_from(23);
+        for base in shipped.chain(swept) {
+            for placement in [Placement::Random, Placement::Modulo] {
+                let cfg = CacheConfig { placement, ..base };
+                let (c, _) = mk(cfg, cfg.sets as u64);
+                for i in 0..2_000u64 {
+                    let addr = match i {
+                        0..=99 => i,
+                        100..=199 => u64::MAX - i,
+                        _ => addrs.next_u64() >> (i % 64),
+                    };
+                    let line = c.line_addr(addr);
+                    let got = (c.set_of(line), line);
+                    assert_eq!(got, reference_set_and_tag(&c, addr), "{cfg:?} at {addr:#x}");
+                }
+            }
+        }
     }
 
     /// Valid lines never exceed capacity, and immediate re-reads always

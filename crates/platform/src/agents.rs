@@ -110,10 +110,6 @@ impl AgentRegistry {
             let CoreLoad::Saturating { duration } = ctx.load else {
                 return Err(format!("kind 'sat' cannot build '{}'", ctx.load));
             };
-            let maxl = ctx.platform.latency.max_latency();
-            if *duration > maxl {
-                return Err(format!("contender duration {duration} exceeds MaxL {maxl}"));
-            }
             Ok(Box::new(Contender::new(ctx.core, *duration)))
         });
         reg.register("per", |ctx: &mut AgentCtx<'_>| {
@@ -187,11 +183,15 @@ impl AgentRegistry {
     }
 
     /// Builds the agent for `load` on `core`, handing shared-state
-    /// builders (the `shared` memory kind) the run's coherence hub.
+    /// builders (the `shared` memory kind) the run's coherence hub. The
+    /// load's parameters are checked first ([`CoreLoad::validate`]), so a
+    /// built-in kind never reaches its constructor with a value it
+    /// rejects.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`AgentRegistry::build`].
+    /// Same conditions as [`AgentRegistry::build`]; every message names
+    /// the load.
     pub fn build_shared(
         &self,
         load: &CoreLoad,
@@ -200,10 +200,11 @@ impl AgentRegistry {
         hub: Option<SharedHub>,
         rng: &mut SimRng,
     ) -> Result<BoxedPortAgent, String> {
+        load.validate(platform.latency.max_latency())?;
         let kind = load.kind();
         let builder = self.builders.get(kind).ok_or_else(|| {
             format!(
-                "no agent kind '{kind}' registered (available: {})",
+                "load '{load}': no agent kind '{kind}' registered (available: {})",
                 self.kinds().join(", ")
             )
         })?;
@@ -231,7 +232,9 @@ fn build_mem_agent(ctx: &mut AgentCtx<'_>) -> Result<BoxedPortAgent, String> {
     let kind = ctx.load.kind();
     if !ctx.args.is_empty() {
         return Err(format!(
-            "kind '{kind}' takes no arguments; its parameters live in the [memory] section"
+            "load '{}': kind '{kind}' takes no arguments; its parameters live in the \
+             [memory] section",
+            ctx.load
         ));
     }
     let config = ctx.platform.memory.clone().ok_or_else(|| {
@@ -263,9 +266,8 @@ fn build_mem_agent(ctx: &mut AgentCtx<'_>) -> Result<BoxedPortAgent, String> {
 fn build_core_agent(ctx: &mut AgentCtx<'_>) -> Result<BoxedPortAgent, String> {
     let program: Box<dyn cba_cpu::Program> = match ctx.load {
         CoreLoad::Profile(profile) => Box::new(SyntheticEembc::new(profile.clone())),
-        CoreLoad::Named(name) => {
-            cba_workloads::by_name(name).ok_or_else(|| format!("unknown benchmark '{name}'"))?
-        }
+        CoreLoad::Named(name) => cba_workloads::by_name(name)
+            .ok_or_else(|| format!("load '{}': unknown benchmark '{name}'", ctx.load))?,
         CoreLoad::Streaming { accesses } => Box::new(Streaming::new(*accesses)),
         other => return Err(format!("core-model kinds cannot build '{other}'")),
     };

@@ -4,9 +4,12 @@
 use crate::agents::{default_registry, AgentRegistry, PortAgent};
 use crate::config::{FabricTopology, PlatformConfig};
 use crate::probes::{WindowedFairness, WindowedFairnessProbe};
-use cba::{CreditFilter, Mode};
+use cba::{BusFilter, CreditFilter, Mode};
 use cba_bus::fabric::{Fabric, FabricConfig};
-use cba_bus::{Bus, BusConfig, BusError, BusRequest, CompletedTransaction, RequestPort};
+use cba_bus::{
+    Bus, BusConfig, BusError, BusRequest, BusRng, CompletedTransaction, EligibilityFilter,
+    NoFilter, RequestPort,
+};
 use cba_mem::shared_hub;
 use cba_workloads::EembcProfile;
 use sim_core::agent::MemStats;
@@ -88,6 +91,45 @@ impl CoreLoad {
             self,
             CoreLoad::Saturating { .. } | CoreLoad::Periodic { .. }
         )
+    }
+
+    /// Checks the load's own parameters against a platform whose longest
+    /// transaction is `max_latency` cycles: counts, periods and durations
+    /// must be positive, durations at most `max_latency`, and a profile
+    /// must pass [`EembcProfile::validate`]. Registered custom kinds check
+    /// their arguments in their builders.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description that names the load.
+    pub fn validate(&self, max_latency: u32) -> Result<(), String> {
+        let positive = |v: u64, what: &str| match v {
+            0 => Err(format!("load '{self}': {what} must be positive")),
+            _ => Ok(()),
+        };
+        let duration = |d: u32| match d {
+            0 => Err(format!("load '{self}': duration must be positive")),
+            d if d > max_latency => Err(format!(
+                "load '{self}': duration {d} exceeds MaxL {max_latency}"
+            )),
+            _ => Ok(()),
+        };
+        match self {
+            CoreLoad::Profile(p) => p.validate().map_err(|why| format!("load '{self}': {why}")),
+            CoreLoad::Streaming { accesses } => positive(*accesses, "access count"),
+            CoreLoad::Saturating { duration: d } => duration(*d),
+            CoreLoad::Periodic {
+                duration: d,
+                period,
+                ..
+            } => duration(*d).and_then(|()| positive(*period, "period")),
+            CoreLoad::FixedTask {
+                n_requests,
+                duration: d,
+                ..
+            } => positive(*n_requests, "request count").and_then(|()| duration(*d)),
+            CoreLoad::Named(_) | CoreLoad::Idle | CoreLoad::Custom { .. } => Ok(()),
+        }
     }
 
     /// The agent-registry kind name this load resolves through.
@@ -291,7 +333,8 @@ impl RunSpec {
         }
     }
 
-    /// Validates the spec (load count, stop-condition finiteness).
+    /// Validates the spec (load count and parameters, stop-condition
+    /// finiteness).
     ///
     /// # Errors
     ///
@@ -303,6 +346,9 @@ impl RunSpec {
                 self.platform.n_cores,
                 self.loads.len()
             ));
+        }
+        for load in &self.loads {
+            load.validate(self.platform.latency.max_latency())?;
         }
         match self.stop {
             StopCondition::TuaDone => {
@@ -509,7 +555,7 @@ trait SimModel:
     fn tua_wait(&self) -> (f64, u64);
 }
 
-impl SimModel for Bus {
+impl<F: EligibilityFilter> SimModel for Bus<F> {
     fn model_idle_cycles(&self) -> u64 {
         self.idle_cycles()
     }
@@ -569,30 +615,37 @@ pub fn run_once_with(spec: &RunSpec, seed: u64, registry: &AgentRegistry) -> Run
 }
 
 /// Assembles the flat shared bus: policy, filter, random source, trace.
-fn build_bus(spec: &RunSpec, rng: &SimRng) -> Bus {
+/// Every part sits in its static slot, so the bus's per-visit calls need
+/// no virtual dispatch.
+fn build_bus(spec: &RunSpec, rng: &SimRng) -> Bus<BusFilter> {
     let platform = &spec.platform;
     let n = platform.n_cores;
     let maxl = platform.latency.max_latency();
-    let mut bus = Bus::new(
-        BusConfig::new(n, maxl).expect("validated platform"),
-        platform.policy.build(n, maxl),
-    );
-    if let Some(credit) = &platform.cba {
-        let mode = if spec.wcet_mode {
-            Mode::WcetEstimation {
-                tua: CoreId::from_index(0),
-            }
-        } else {
-            Mode::Operation
-        };
-        bus.set_filter(Box::new(CreditFilter::with_mode(credit.clone(), mode)));
-    }
-    if platform.lfsr_randbank {
+    let filter = match &platform.cba {
+        Some(credit) => {
+            let mode = if spec.wcet_mode {
+                Mode::WcetEstimation {
+                    tua: CoreId::from_index(0),
+                }
+            } else {
+                Mode::Operation
+            };
+            BusFilter::Credit(CreditFilter::with_mode(credit.clone(), mode))
+        }
+        None => BusFilter::Unfiltered(NoFilter::new()),
+    };
+    let source = if platform.lfsr_randbank {
         let bank_seed = rng.fork(0xA9).next_u64();
-        bus.set_random_source(Box::new(LfsrBank::new(16, bank_seed).expect("valid width")));
+        BusRng::Lfsr(LfsrBank::new(16, bank_seed).expect("valid width"))
     } else {
-        bus.set_random_source(Box::new(rng.fork(0xA9)));
-    }
+        BusRng::Soft(rng.fork(0xA9))
+    };
+    let mut bus = Bus::assemble(
+        BusConfig::new(n, maxl).expect("validated platform"),
+        platform.policy.bus_policy(n, maxl),
+        filter,
+        source,
+    );
     if spec.record_trace {
         bus.enable_recording_trace();
     }
@@ -1033,7 +1086,7 @@ mod tests {
     /// engine executes) and forwards the limit-cycle hooks only when
     /// `hooks` is set.
     struct CountingBus {
-        bus: Bus,
+        bus: Bus<BusFilter>,
         begins: u64,
         hooks: bool,
     }

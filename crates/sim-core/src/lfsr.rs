@@ -26,6 +26,15 @@
 //! costs a handful of word operations, whatever the bank's width. The
 //! single-lane [`Lfsr`] produces the same bit stream one lane at a time and
 //! serves as the reference the bank is tested against.
+//!
+//! # Lazy health monitors
+//!
+//! The monitors judge the words of the current 4096-cycle window, but a
+//! draw does not count them. When a window's first word is drawn, the bank
+//! copies its 32 planes aside; [`LfsrBank::health`] steps that copy through
+//! the words drawn since, counting ones and transitions per lane, and
+//! resumes there on its next call. A draw therefore costs the shift alone,
+//! and the counting is paid only by a caller that asks for a verdict.
 
 use crate::SimError;
 
@@ -165,11 +174,62 @@ pub struct LfsrBank {
     planes: [u64; 32],
     head: usize,
     width: usize,
-    // Health monitoring state over the current window.
+    /// Words drawn in the current health window.
+    observed: u32,
+    monitor: Monitor,
+}
+
+/// The health monitors' view of the current window: a copy of the bank's
+/// state taken before the window's first word, stepped behind the bank by
+/// [`LfsrBank::health`], with the per-lane counts of the words it has
+/// stepped through.
+#[derive(Debug, Clone)]
+struct Monitor {
+    planes: [u64; 32],
+    head: usize,
+    counted: u32,
     ones: Counter,
     transitions: Counter,
     last_bits: u64,
-    observed: u32,
+}
+
+impl Monitor {
+    fn new(planes: [u64; 32], head: usize) -> Self {
+        Monitor {
+            planes,
+            head,
+            counted: 0,
+            ones: [0; COUNTER_PLANES],
+            transitions: [0; COUNTER_PLANES],
+            last_bits: 0,
+        }
+    }
+
+    /// Steps the copy through the window's words up to the `observed`-th.
+    fn catch_up(&mut self, observed: u32) {
+        while self.counted < observed {
+            let word = step(&mut self.planes, &mut self.head);
+            count_lanes(&mut self.ones, word);
+            // The first bit of a window has no predecessor in it.
+            if self.counted != 0 {
+                count_lanes(&mut self.transitions, word ^ self.last_bits);
+            }
+            self.last_bits = word;
+            self.counted += 1;
+        }
+    }
+}
+
+/// One Galois shift of every lane in `planes` (a ring headed at `head`);
+/// returns the output word.
+#[inline]
+fn step(planes: &mut [u64; 32], head: &mut usize) -> u64 {
+    let word = planes[*head];
+    *head = (*head + 1) % 32;
+    for k in TAPS {
+        planes[(*head + k) % 32] ^= word;
+    }
+    word
 }
 
 impl LfsrBank {
@@ -206,10 +266,8 @@ impl LfsrBank {
             planes,
             head: 0,
             width,
-            ones: [0; COUNTER_PLANES],
-            transitions: [0; COUNTER_PLANES],
-            last_bits: 0,
             observed: 0,
+            monitor: Monitor::new(planes, 0),
         })
     }
 
@@ -220,26 +278,19 @@ impl LfsrBank {
 
     /// Advances every lane one cycle and returns the fresh bits packed into
     /// the low `width` bits of a `u64` (lane 0 is bit 0).
+    #[inline]
     pub fn next_bits(&mut self) -> u64 {
-        let word = self.planes[self.head];
-        self.head = (self.head + 1) % 32;
-        for k in TAPS {
-            self.planes[(self.head + k) % 32] ^= word;
+        if self.observed == 0 {
+            // A new health window starts here: the monitors replay it
+            // from this state.
+            self.monitor = Monitor::new(self.planes, self.head);
         }
-        count_lanes(&mut self.ones, word);
-        // The first bit of a window has no predecessor in it.
-        if self.observed != 0 {
-            count_lanes(&mut self.transitions, word ^ self.last_bits);
-        }
-        self.last_bits = word;
         self.observed += 1;
         if self.observed >= Self::HEALTH_WINDOW {
             // Monitors are evaluated lazily via `health`; reset the window.
             self.observed = 0;
-            self.ones = [0; COUNTER_PLANES];
-            self.transitions = [0; COUNTER_PLANES];
         }
-        word
+        step(&mut self.planes, &mut self.head)
     }
 
     /// Gathers `bits` random bits (over as many cycles as needed) into one
@@ -248,6 +299,7 @@ impl LfsrBank {
     /// # Panics
     ///
     /// Panics if `bits == 0` or `bits > 64`.
+    #[inline]
     pub fn next_word(&mut self, bits: u32) -> u64 {
         assert!((1..=64).contains(&bits), "bits must be in 1..=64");
         let w = self.width() as u32;
@@ -271,6 +323,7 @@ impl LfsrBank {
     /// # Panics
     ///
     /// Panics if `n == 0`.
+    #[inline]
     pub fn next_below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "next_below(0)");
         if n == 1 {
@@ -291,21 +344,36 @@ impl LfsrBank {
     /// Following the safety-PRNG design of the paper's reference \[3\], two
     /// online checks run continuously: a stuck-at detector (no transitions in
     /// the window once enough bits were observed) and a ones-density monitor.
-    pub fn health(&self) -> LfsrHealth {
+    /// The window's counts are taken here, by replaying the words drawn
+    /// since the previous call (see the [module documentation](self)).
+    pub fn health(&mut self) -> LfsrHealth {
+        let width = self.width;
+        let observed = self.observed;
         // Need a minimum of observations before judging.
-        if self.observed < 256 {
+        if observed < 256 {
             return LfsrHealth::Ok;
         }
-        for lane in 0..self.width {
-            if lane_count(&self.transitions, lane) == 0 {
+        let (ones, transitions) = self.window_counts();
+        for lane in 0..width {
+            if lane_count(transitions, lane) == 0 {
                 return LfsrHealth::StuckAt { lane };
             }
-            let density = lane_count(&self.ones, lane) as f64 / self.observed as f64;
+            let density = lane_count(ones, lane) as f64 / observed as f64;
             if !(0.40..=0.60).contains(&density) {
                 return LfsrHealth::Imbalanced { lane, density };
             }
         }
         LfsrHealth::Ok
+    }
+
+    /// The per-lane ones and transitions counts of the current window.
+    fn window_counts(&mut self) -> (&Counter, &Counter) {
+        if self.observed == 0 {
+            // The window is empty: the monitors restart from here.
+            self.monitor = Monitor::new(self.planes, self.head);
+        }
+        self.monitor.catch_up(self.observed);
+        (&self.monitor.ones, &self.monitor.transitions)
     }
 }
 
@@ -525,17 +593,19 @@ mod tests {
         }
     }
 
-    /// Asserts the bank's monitor state equals the oracle's, lane by lane.
-    fn assert_same_monitors(bank: &LfsrBank, oracle: &LaneOracle, at: &str) {
+    /// Asserts the bank's monitor state (its window's replayed counts)
+    /// equals the oracle's, lane by lane.
+    fn assert_same_monitors(bank: &mut LfsrBank, oracle: &LaneOracle, at: &str) {
         assert_eq!(bank.observed, oracle.observed, "{at}");
+        let (ones, transitions) = bank.window_counts();
         for lane in 0..oracle.lanes.len() {
             assert_eq!(
-                lane_count(&bank.ones, lane),
+                lane_count(ones, lane),
                 oracle.ones[lane],
                 "{at}: ones of lane {lane}"
             );
             assert_eq!(
-                lane_count(&bank.transitions, lane),
+                lane_count(transitions, lane),
                 oracle.transitions[lane],
                 "{at}: transitions of lane {lane}"
             );
@@ -558,7 +628,7 @@ mod tests {
                 let at = format!("width {width}, step {step}");
                 assert_eq!(bank.next_bits(), oracle.next_bits(), "{at}");
                 if matches!(oracle.observed, 0 | 1 | 2 | 255 | 256 | 4095) || step % 97 == 0 {
-                    assert_same_monitors(&bank, &oracle, &at);
+                    assert_same_monitors(&mut bank, &oracle, &at);
                 }
             }
             // The gathering draws continue the same stream.
@@ -571,7 +641,7 @@ mod tests {
                     let at = format!("width {width}, round {round}, next_below({n})");
                     assert_eq!(bank.next_below(n), oracle.next_below(n), "{at}");
                 }
-                assert_same_monitors(&bank, &oracle, &format!("width {width}, round {round}"));
+                assert_same_monitors(&mut bank, &oracle, &format!("width {width}, round {round}"));
             }
         }
     }
@@ -599,7 +669,7 @@ mod tests {
                     assert_eq!(bank.health(), LfsrHealth::StuckAt { lane }, "{at}");
                 }
             }
-            assert_same_monitors(&bank, &oracle, &format!("width {width}"));
+            assert_same_monitors(&mut bank, &oracle, &format!("width {width}"));
         }
     }
 }

@@ -107,8 +107,13 @@ impl SimRng {
 
     /// Uniform draw from a `u64` range (`lo..hi`, `hi` exclusive).
     ///
-    /// Uses Lemire-style rejection sampling, so every value of the range is
-    /// exactly equally likely.
+    /// Modulo rejection sampling: a draw above the largest multiple of the
+    /// span that fits in a `u64` is rejected and redrawn, and the accepted
+    /// draw is reduced modulo the span, so every value of the range is
+    /// exactly equally likely. A power-of-two span rejects nothing and its
+    /// modulo is a mask, so it takes no division; any other span costs two
+    /// `u64` divisions per call. Every golden output pins the values and
+    /// the number of draws this method takes.
     ///
     /// # Panics
     ///
@@ -117,6 +122,11 @@ impl SimRng {
     pub fn gen_range_u64(&mut self, range: std::ops::Range<u64>) -> u64 {
         assert!(range.start < range.end, "empty range");
         let span = range.end - range.start;
+        if span.is_power_of_two() {
+            // The rejection zone below is all of `u64` here, and
+            // `v % 2^k == v & (2^k - 1)`.
+            return range.start + (self.next_u64() & (span - 1));
+        }
         // Rejection-sample the top multiple of `span` to avoid modulo bias.
         let zone = u64::MAX - (u64::MAX - span + 1) % span;
         loop {
@@ -235,6 +245,55 @@ mod tests {
         let mut c2 = parent.fork(2);
         let matches = (0..64).filter(|_| c1.next_u64() == c2.next_u64()).count();
         assert_eq!(matches, 0);
+    }
+
+    /// `gen_range_u64` as it was written before power-of-two spans took
+    /// the mask: modulo rejection with two divisions for every span.
+    fn reference_range(rng: &mut SimRng, range: std::ops::Range<u64>) -> u64 {
+        let span = range.end - range.start;
+        let zone = u64::MAX - (u64::MAX - span + 1) % span;
+        loop {
+            let v = rng.next_u64();
+            if v <= zone {
+                return range.start + v % span;
+            }
+        }
+    }
+
+    /// Draws `span`-wide ranges from twin streams with both methods: the
+    /// values must agree, and so must the stream positions afterwards.
+    fn assert_matches_reference(seed: u64, start: u64, span: u64) {
+        let mut fast = SimRng::seed_from(seed);
+        let mut reference = fast.clone();
+        for i in 0..64 {
+            let range = start..start + span;
+            assert_eq!(
+                fast.gen_range_u64(range.clone()),
+                reference_range(&mut reference, range),
+                "span {span}, draw {i}"
+            );
+        }
+        assert_eq!(fast.next_u64(), reference.next_u64(), "span {span}");
+    }
+
+    #[test]
+    fn gen_range_matches_the_division_reference() {
+        let mut spans: Vec<u64> = (0..64).map(|k| 1 << k).collect();
+        let mut pick = SimRng::seed_from(17);
+        for bits in 2..=64 {
+            // A non-power of two below 2^bits: above 2^63 the rejection
+            // zone is at its widest.
+            let span = (pick.next_u64() >> (64 - bits)) | 3;
+            if !span.is_power_of_two() {
+                spans.push(span);
+            }
+        }
+        spans.extend([3, 5, 6, 7, 56, 1000, u64::MAX, u64::MAX - 1, (1 << 63) + 1]);
+        for (i, &span) in spans.iter().enumerate() {
+            let start = if span <= 1 << 62 { 1 << 62 } else { 0 };
+            assert_matches_reference(i as u64, 0, span);
+            assert_matches_reference(i as u64 + 1000, start, span);
+        }
     }
 
     #[test]

@@ -153,6 +153,20 @@ const CODE_BASE: u64 = 0x0000_1000;
 /// line size so a sequential walk misses L1 once per line.
 const STRIDE: u64 = 16;
 
+/// `(pos + step) % len` for a walk pointer `pos < len` and a `step` no
+/// larger than `len` (the data and code sets are at least 64 bytes), by
+/// compare and subtract: the sum stays below `2 * len`.
+#[inline]
+fn wrap_add(pos: u64, step: u64, len: u64) -> u64 {
+    debug_assert!(pos < len && step <= len);
+    let next = pos + step;
+    if next >= len {
+        next - len
+    } else {
+        next
+    }
+}
+
 impl SyntheticEembc {
     /// Creates a generator for `profile`.
     ///
@@ -189,14 +203,14 @@ impl SyntheticEembc {
             if rng.gen_bool(0.2) {
                 self.code_walk = rng.gen_range_u64(0..p.code_set / 4) * 4;
             } else {
-                self.code_walk = (self.code_walk + 4) % p.code_set;
+                self.code_walk = wrap_add(self.code_walk, 4, p.code_set);
             }
             return MemAccess::ifetch(CODE_BASE + self.code_walk);
         }
         let addr = if rng.gen_bool(p.p_random) {
             DATA_BASE + rng.gen_range_u64(0..p.working_set / 4) * 4
         } else {
-            self.walk = (self.walk + STRIDE) % p.working_set;
+            self.walk = wrap_add(self.walk, STRIDE, p.working_set);
             DATA_BASE + self.walk
         };
         if roll < p.p_ifetch + p.p_atomic {
@@ -232,7 +246,7 @@ impl Program for SyntheticEembc {
             // contend with the credit recovery window.
             self.warmup_left -= 1;
             let addr = DATA_BASE + self.walk;
-            self.walk = (self.walk + STRIDE) % self.profile.working_set;
+            self.walk = wrap_add(self.walk, STRIDE, self.profile.working_set);
             self.pending_gap = Some(self.uniform_in(WARMUP_GAP, rng));
             let access = if rng.gen_bool(self.profile.p_store) {
                 MemAccess::store(addr)
@@ -286,6 +300,22 @@ impl Program for SyntheticEembc {
 mod tests {
     use super::*;
     use crate::suite;
+
+    #[test]
+    fn wrap_add_is_the_modulo_of_the_sum() {
+        for len in [64, 65, 100, 4096, 1 << 40] {
+            for step in [4, STRIDE, 64] {
+                let edge = (len - step.min(len))..len;
+                for pos in (0..step.min(len)).chain(edge) {
+                    assert_eq!(
+                        wrap_add(pos, step, len),
+                        (pos + step) % len,
+                        "{pos}+{step} in {len}"
+                    );
+                }
+            }
+        }
+    }
     use cba_mem::AccessKind;
 
     fn count_kinds(profile: EembcProfile, seed: u64) -> (u64, u64, u64, u64, u64) {
